@@ -24,15 +24,15 @@ from .harness import (ExperimentConfig, ExperimentResult, MetricsRecord,
                       metrics_csv_text, run_experiment, solve_instance,
                       write_metrics_csv)
 from .initial import gmbf, lmbf, lmbff, random_init
-from .refine import (GainEntry, Move, MoveQueue, RefineConfig, SolverState,
-                     fmhc, move_gain, postprocess, sahc)
+from .refine import (Move, RefineConfig, SolverState, fmhc, move_gain,
+                     postprocess, sahc)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "DatasetConfig", "ExperimentConfig", "ExperimentResult",
-    "GAParams", "GainEntry", "GroupGenSpec", "Instance", "MetricsRecord",
-    "Move", "MoveQueue", "ObjectiveBreakdown", "RefineConfig", "RunFailure",
+    "GAParams", "GroupGenSpec", "Instance", "MetricsRecord", "Move",
+    "ObjectiveBreakdown", "RefineConfig", "RunFailure",
     "SolverState", "TaskSpec", "ValidationError", "avg_individual_benefit",
     "bucket_distribution", "compact_assignment", "compute_benefit_matrix",
     "default_spec", "evaluate_solution", "fmhc", "generate_dataset",

@@ -62,7 +62,7 @@ def make_instance(skills, groups, student_ids=None, group_labels=None) -> Instan
         raise ValidationError(f"need at least 2 students, got {n}")
     if k < 1:
         raise ValidationError("need at least 1 skill dimension")
-    if np.any(skills < 0.0) or np.any(skills > 1.0):
+    if not np.all((skills >= 0.0) & (skills <= 1.0)):  # also rejects NaN
         raise ValidationError("skill values must lie in [0, 1]")
 
     groups = np.ascontiguousarray(groups, dtype=np.int64)
@@ -111,11 +111,15 @@ class TaskSpec:
         reqs = np.ascontiguousarray(self.requirements, dtype=np.float64).reshape(-1)
         if reqs.size < 1:
             raise ValidationError("requirements must have at least one entry")
+        if not np.all(np.isfinite(reqs)):
+            raise ValidationError("requirements must be finite")
         if np.any(reqs < 0.0):
             raise ValidationError("requirements must be non-negative")
         object.__setattr__(self, "requirements", reqs)
         for name in ("benefit_epsilon", "gamma", "delta"):
             value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
             if value < 0.0:
                 raise ValidationError(f"{name} must be non-negative")
             object.__setattr__(self, name, value)
@@ -184,7 +188,7 @@ def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
     i benefits from j when some skill of j exceeds i's by strictly more than
     epsilon. The diagonal is fixed at 0.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # also rejects NaN
         raise ValidationError("benefit epsilon must be non-negative")
     s = instance.skills
     exceeds = (s[None, :, :] - s[:, None, :]) > epsilon

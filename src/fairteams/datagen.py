@@ -169,6 +169,7 @@ def load_instance(path) -> Instance:
                 f"{path}: skill columns must be {','.join(expected)}")
 
         ids, labels, rows = [], [], []
+        seen_ids: set[str] = set()
         label_order: dict[str, int] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -179,7 +180,7 @@ def load_instance(path) -> Instance:
             sid, label = row[0].strip(), row[1].strip()
             if not sid:
                 raise ValidationError(f"{path}:{line_no}: empty student_id")
-            if sid in ids:
+            if sid in seen_ids:
                 raise ValidationError(
                     f"{path}:{line_no}: duplicate student_id {sid!r}")
             if not label:
@@ -196,6 +197,7 @@ def load_instance(path) -> Instance:
             if label not in label_order:
                 label_order[label] = len(label_order)
             ids.append(sid)
+            seen_ids.add(sid)
             labels.append(label_order[label])
             rows.append(skills)
     if len(ids) < 2:

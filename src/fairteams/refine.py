@@ -8,11 +8,19 @@ Two refiners over the single-student move neighborhood:
   of the move sequence with the largest summed gain if that sum clears the
   gain threshold; otherwise the pass is discarded and refinement stops.
 
+Both take the row-major first maximum of the (N, slots) gain matrix, so
+ties go to the lower student, then the lower destination.
+
 The gain of moving student x from team s to team d is f(before) - f(after),
 computed incrementally from cached team sums, benefit counts, and group
-benefit sums. A move that empties its source team drops that team from the
-objective's normalizer and from the destination set; no move may create a
-new team. After refinement, post-processing removes empty slots and merges
+benefit sums. Terms that depend on d alone are cached per column, so a move
+refreshes only columns s and d; the O(N (m + k)) row terms of what x's
+source loses are recomputed per call. Each cell takes the same floating-point
+operations in the same order as a full recompute: gains are bit-identical.
+
+A move that empties its source team drops that team from the objective's
+normalizer and from the destination set; no move may create a new team.
+After refinement, post-processing removes empty slots and merges
 singleton teams into whichever team yields the lowest objective, repeating
 the climb if a merge opened new improving moves, so the final assignment is
 single-move stable and singleton-free.
@@ -21,7 +29,6 @@ single-move stable and singleton-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +39,15 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """gain_epsilon: smallest pass gain fmhc still commits (must be > 0).
+    """gain_epsilon: smallest pass gain fmhc still commits (finite, > 0).
     max_passes: optional safety cap (fmhc passes / sahc accepted moves)."""
 
     gain_epsilon: float = 1e-4
     max_passes: int | None = None
 
     def __post_init__(self):
-        if not self.gain_epsilon > 0.0:
-            raise ValidationError("gain_epsilon must be positive")
+        if not 0.0 < self.gain_epsilon < np.inf:
+            raise ValidationError("gain_epsilon must be positive and finite")
         if self.max_passes is not None and self.max_passes < 1:
             raise ValidationError("max_passes must be at least 1 when set")
 
@@ -52,15 +59,28 @@ class Move:
     dest: int
 
 
-class GainEntry(NamedTuple):
-    move: Move
-    gain: float
-
-
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
     """Per-team squared shortfall, summed over skills. sums: (..., k)."""
     shortfall = np.clip(requirements - sums, 0.0, None)
     return (shortfall ** 2).sum(axis=-1)
+
+
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Bit-identical to np.stack(terms, -1).sum(-1): numpy's pairwise order."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n >= 8:
+        acc = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            acc = [a + t for a, t in zip(acc, terms[i:i + 8])]
+        terms = [((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7]))] + terms[n - n % 8:]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
 
 
 class SolverState:
@@ -68,7 +88,10 @@ class SolverState:
 
     Team slots are fixed at construction; a slot that empties goes inactive
     and never comes back (moves into empty slots are not generated). The
-    exposed assignment() compacts the surviving slots.
+    exposed assignment() compacts the surviving slots. Column l of the gain
+    caches _new_ind (N, slots), _dest_delta (m, N, slots; group-major) and
+    _def_dest_new (N, slots) depends on slot l alone, so apply() refreshes
+    two columns and gain_matrix() adds the per-student row terms.
     """
 
     def __init__(self, instance: Instance, spec: TaskSpec, b: np.ndarray,
@@ -119,6 +142,28 @@ class SolverState:
         # of group q
         self.own_by_group = np.zeros((s, inst.m))
         np.add.at(self.own_by_group, (self.team_of, inst.groups), own)
+        self._new_ind = np.empty((n, s))
+        self._dest_delta = np.empty((inst.m, n, s))
+        self._def_dest_new = np.empty((n, s))
+        self._refresh_columns(slice(None))
+
+    def _refresh_columns(self, cols):
+        """Recompute the gain terms that depend on destination slots cols."""
+        sizes = self.sizes[cols]
+        sizes_safe = np.maximum(sizes, 1)
+        own = self.own_by_group[cols]
+        # mover's individual benefit after joining slot l
+        self._new_ind[:, cols] = self.benefit_vs_team[:, cols] / sizes_safe
+        # change of slot l's members' benefit per group, stored group-major
+        old_dest = own / np.maximum(sizes - 1, 1)[:, None]
+        new_dest = (own[None] + self.benefit_to_team[:, cols]) \
+            / sizes_safe[None, :, None]
+        self._dest_delta[:, :, cols] = np.moveaxis(
+            new_dest - old_dest[None], 2, 0)
+        # slot l's deficiency after the mover joins
+        self._def_dest_new[:, cols] = _deficiency(
+            self.sums[cols][None, :, :] + self.inst.skills[:, None, :],
+            self.spec.requirements)
 
     def clone(self) -> "SolverState":
         other = object.__new__(SolverState)
@@ -128,7 +173,8 @@ class SolverState:
         other._group_one_hot = self._group_one_hot
         for name in ("team_of", "sizes", "active", "sums", "defic",
                      "benefit_vs_team", "benefit_to_team", "ind",
-                     "group_sums", "own_by_group"):
+                     "group_sums", "own_by_group", "_new_ind",
+                     "_dest_delta", "_def_dest_new"):
             setattr(other, name, getattr(self, name).copy())
         other.n_active = self.n_active
         other.defic_total = self.defic_total
@@ -149,22 +195,21 @@ class SolverState:
     def gain_matrix(self, locked: np.ndarray | None = None) -> np.ndarray:
         """(N, n_slots) gains for every candidate move; -inf where invalid.
 
-        Invalid: the student's own team, inactive slots, locked students.
+        Invalid: the student's own team, inactive slots, and the students
+        set in the bool mask locked, whose rows are not computed at all.
         """
         inst, spec = self.inst, self.spec
-        n, s, m, k = inst.n, self.n_slots, inst.m, inst.k
-        rows = np.arange(n)
-        src = self.team_of
+        n, m, k = inst.n, inst.m, inst.k
+        live = slice(None) if locked is None else np.flatnonzero(~locked)
+        rows = np.arange(n)[live]
+        src = self.team_of[live]
         n_src = self.sizes[src]
         own_vs_src = self.benefit_vs_team[rows, src]
-        sizes_safe = np.maximum(self.sizes, 1)
-
-        # mover's new benefit in every destination
-        new_ind_mover = self.benefit_vs_team / sizes_safe
-        d_mover = new_ind_mover - self.ind[:, None]
+        d_mover = self._new_ind[live] - self.ind[live, None]
 
         # teammates left behind, split by group (independent of destination)
-        left_base = self.own_by_group[src] - self._group_one_hot * own_vs_src[:, None]
+        left_base = (self.own_by_group[src]
+                     - self._group_one_hot[live] * own_vs_src[:, None])
         old_src = left_base / np.maximum(n_src - 1, 1)[:, None]
         to_src = self.benefit_to_team[rows, src]
         new_src = (left_base - to_src) / np.maximum(n_src - 2, 1)[:, None]
@@ -172,38 +217,35 @@ class SolverState:
             (n_src >= 3)[:, None], new_src - old_src,
             np.where((n_src == 2)[:, None], -old_src, 0.0))
 
-        # destination teammates gaining the mover, split by group
-        old_dest = self.own_by_group / np.maximum(self.sizes - 1, 1)[:, None]
-        new_dest = (self.own_by_group[None] + self.benefit_to_team) \
-            / sizes_safe[None, :, None]
-        dest_delta = new_dest - old_dest[None]
-
-        d_group = (dest_delta + src_delta[:, None, :]
-                   + self._group_one_hot[:, None, :] * d_mover[:, :, None])
-        new_group_sums = self.group_sums[None, None, :] + d_group
-        new_gben = new_group_sums / self.group_counts[None, None, :]
-        z_new = new_gben.var(axis=2)
-        y_new = (self.ind_total + d_group.sum(axis=2)) / n
+        # per group: change of the group's benefit sum, and its new mean
+        d_group, new_gben = [], []
+        for q in range(m):
+            d = self._dest_delta[q][live] + src_delta[:, q, None]
+            np.add(d, d_mover, out=d, where=(inst.groups[live] == q)[:, None])
+            d_group.append(d)
+            new_gben.append((self.group_sums[q] + d) / self.group_counts[q])
+        y_new = (self.ind_total + _pairwise_sum(d_group)) / n
+        mean = _pairwise_sum(new_gben) / m
+        z_new = _pairwise_sum([np.square(g - mean, out=g)
+                               for g in new_gben]) / m
 
         empties = n_src == 1
         def_src_new = np.where(
             empties, 0.0,
-            _deficiency(self.sums[src] - inst.skills, spec.requirements))
-        def_dest_new = _deficiency(
-            self.sums[None, :, :] + inst.skills[:, None, :], spec.requirements)
-        defic_new = (self.defic_total - self.defic[src][:, None]
-                     - self.defic[None, :] + def_src_new[:, None] + def_dest_new)
-        teams_after = self.n_active - empties.astype(np.int64)
-        x_new = defic_new / (teams_after[:, None] * k)
+            _deficiency(self.sums[src] - inst.skills[live], spec.requirements))
+        defic_new = (self.defic_total - self.defic[src][:, None] - self.defic
+                     + def_src_new[:, None] + self._def_dest_new[live])
+        x_new = defic_new / ((self.n_active - empties)[:, None] * k)
 
         f_new = x_new - spec.gamma * y_new + spec.delta * z_new
         gains = self.objective().f - f_new
-
         gains[:, ~self.active] = -np.inf
-        gains[rows, src] = -np.inf
-        if locked is not None:
-            gains[locked, :] = -np.inf
-        return gains
+        gains[np.arange(gains.shape[0]), src] = -np.inf
+        if locked is None:
+            return gains
+        full = np.full((n, self.n_slots), -np.inf)
+        full[live] = gains
+        return full
 
     def gain(self, student: int, dest: int) -> float:
         """Single-move gain, same caches, scalar arithmetic."""
@@ -248,7 +290,7 @@ class SolverState:
         return self.objective().f - f_new
 
     def apply(self, student: int, dest: int):
-        """Move the student and refresh every cache in O(N + team sizes)."""
+        """Move the student and refresh the caches in O(N (m + k))."""
         inst = self.inst
         src = int(self.team_of[student])
         if dest == src:
@@ -295,6 +337,7 @@ class SolverState:
             row = np.zeros(inst.m)
             np.add.at(row, inst.groups[members], own)
             self.own_by_group[slot] = row
+        self._refresh_columns(np.array([src, dest]))
 
 
 def move_gain(state: SolverState, move: Move) -> float:
@@ -304,53 +347,11 @@ def move_gain(state: SolverState, move: Move) -> float:
     return state.gain(move.student, move.dest)
 
 
-class MoveQueue:
-    """Max-priority structure over the candidate-move gains.
-
-    Array-backed: rebuild stores a gain matrix, pop-max returns the best
-    live entry (ties: lower student index, then lower destination id, which
-    is exactly row-major first occurrence), remove-by-student retires a row.
-    ops counts touched entries so complexity assertions can read it.
-    """
-
-    def __init__(self):
-        self._gains = None
-        self._live = None
-        self.ops = 0
-
-    def __len__(self) -> int:
-        return 0 if self._live is None else int(self._live.sum())
-
-    def rebuild(self, gain_matrix: np.ndarray):
-        self._gains = gain_matrix
-        self._live = np.isfinite(gain_matrix)
-        self.ops += int(self._live.sum())
-
-    def pop_max(self) -> GainEntry | None:
-        if self._live is None or not self._live.any():
-            return None
-        masked = np.where(self._live, self._gains, -np.inf)
-        flat = int(np.argmax(masked))
-        student, dest = divmod(flat, masked.shape[1])
-        self._live[student, dest] = False
-        self.ops += 1
-        return GainEntry(Move(student=student, source=-1, dest=dest),
-                         float(masked[student, dest]))
-
-    def remove_student(self, student: int):
-        if self._live is not None:
-            self.ops += int(self._live[student].sum())
-            self._live[student] = False
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        """Live (student, dest, gain) triples, for invariant checks."""
-        if self._live is None:
-            return []
-        out = []
-        for student, dest in zip(*np.nonzero(self._live)):
-            out.append((int(student), int(dest),
-                        float(self._gains[student, dest])))
-        return out
+def _best_move(gains: np.ndarray) -> tuple[int, int, float]:
+    """(student, dest, gain) of the largest entry; ties go to the lower
+    student, then the lower destination (row-major first maximum)."""
+    student, dest = divmod(int(np.argmax(gains)), gains.shape[1])
+    return student, dest, float(gains[student, dest])
 
 
 def _merge_singletons(state: SolverState) -> bool:
@@ -395,17 +396,15 @@ def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
     return state.assignment()
 
 
-def _climb(state: SolverState, queue: MoveQueue, budget: list,
-           stats: dict | None) -> None:
+def _climb(state: SolverState, budget: list, stats: dict | None) -> None:
     """Steepest-descent loop: apply the best move while strictly improving."""
     while budget[0] != 0:
-        queue.rebuild(state.gain_matrix())
+        student, dest, gain = _best_move(state.gain_matrix())
         if stats is not None:
             stats["iterations"] = stats.get("iterations", 0) + 1
-        top = queue.pop_max()
-        if top is None or top.gain <= 0.0:
+        if gain <= 0.0:
             break
-        state.apply(top.move.student, top.move.dest)
+        state.apply(student, dest)
         budget[0] -= 1
         if stats is not None:
             stats["moves"] = stats.get("moves", 0) + 1
@@ -422,22 +421,18 @@ def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
     """
     config = config or RefineConfig()
     state = SolverState.from_assignment(instance, spec, b, initial)
-    queue = MoveQueue()
     if stats is not None:
         stats.setdefault("iterations", 0)
         stats.setdefault("moves", 0)
     budget = [-1 if config.max_passes is None else config.max_passes]
     while True:
-        _climb(state, queue, budget, stats)
+        _climb(state, budget, stats)
         if budget[0] == 0 or not _merge_singletons(state):
             break
-    if stats is not None:
-        stats["queue_ops"] = queue.ops
     return state.assignment()
 
 
-def _fmhc_pass(state: SolverState, config: RefineConfig,
-               stats: dict | None) -> bool:
+def _fmhc_pass(state: SolverState, config: RefineConfig) -> bool:
     """One pass: tentatively move every student, commit the best prefix.
 
     Mutates state only when the prefix gain clears gain_epsilon; otherwise
@@ -445,18 +440,14 @@ def _fmhc_pass(state: SolverState, config: RefineConfig,
     """
     work = state.clone()
     locked = np.zeros(state.inst.n, dtype=bool)
-    queue = MoveQueue()
-    queue.rebuild(work.gain_matrix(locked))
     sequence = []
-    while (top := queue.pop_max()) is not None:
-        student, dest = top.move.student, top.move.dest
+    while True:
+        student, dest, gain = _best_move(work.gain_matrix(locked))
+        if gain == -np.inf:
+            break
         locked[student] = True
-        queue.remove_student(student)
         work.apply(student, dest)
-        sequence.append((student, dest, top.gain))
-        queue.rebuild(work.gain_matrix(locked))
-    if stats is not None:
-        stats["queue_ops"] = stats.get("queue_ops", 0) + queue.ops
+        sequence.append((student, dest, gain))
     if not sequence:
         return False
     cumulative = np.cumsum([gain for (_, _, gain) in sequence])
@@ -476,7 +467,6 @@ def fmhc(instance: Instance, spec: TaskSpec, b: np.ndarray,
     state = SolverState.from_assignment(instance, spec, b, initial)
     if stats is not None:
         stats.setdefault("passes", 0)
-        stats.setdefault("queue_ops", 0)
     passes = 0
     capped = False
     while True:
@@ -484,7 +474,7 @@ def fmhc(instance: Instance, spec: TaskSpec, b: np.ndarray,
             if config.max_passes is not None and passes >= config.max_passes:
                 capped = True
                 break
-            progressed = _fmhc_pass(state, config, stats)
+            progressed = _fmhc_pass(state, config)
             passes += 1
             if stats is not None:
                 stats["passes"] = passes

@@ -127,6 +127,23 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "nan"), ("--delta", "inf"), ("--requirements", "inf"),
+        ("--benefit-epsilon", "nan"), ("--gain-epsilon", "inf"),
+    ])
+    def test_non_finite_flag_is_rejected(self, tmp_path, capsys, flag,
+                                          value):
+        roster = self._roster(tmp_path, n=10)
+        out = tmp_path / "teams.csv"
+        capsys.readouterr()
+        assert main(["solve", "--roster", roster, flag, value,
+                     "--assignment-out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "must be" in captured.err and "finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_hand_computed_metrics(self, tmp_path, capsys):
         roster = _write(tmp_path, "quad.csv", QUAD_ROSTER)

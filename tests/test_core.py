@@ -71,6 +71,8 @@ class TestBenefitMatrix:
         inst = make_instance([[0.1], [0.2]], [0, 0])
         with pytest.raises(ValidationError):
             compute_benefit_matrix(inst, -0.1)
+        with pytest.raises(ValidationError):
+            compute_benefit_matrix(inst, float("nan"))
 
 
 class TestIndividualBenefit:
@@ -332,6 +334,10 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             make_instance([[0.5], [0.2]], [0, 0], student_ids=("a", "a"))
 
+    def test_instance_rejects_nan_skills(self):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            make_instance([[np.nan], [0.2]], [0, 0])
+
     def test_instance_defaults(self):
         inst = make_instance([[0.5], [0.2]], [0, 1])
         assert inst.student_ids == ("s1", "s2")
@@ -347,6 +353,20 @@ class TestDomainTypes:
             TaskSpec(requirements=[1.0], gamma=-0.5)
         spec = TaskSpec(requirements=[1.0, 2.0])
         assert spec.k == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"requirements": [1.0, np.nan]},
+        {"requirements": [np.inf]},
+        {"requirements": [1.0], "benefit_epsilon": np.nan},
+        {"requirements": [1.0], "benefit_epsilon": np.inf},
+        {"requirements": [1.0], "gamma": np.nan},
+        {"requirements": [1.0], "gamma": np.inf},
+        {"requirements": [1.0], "delta": np.nan},
+        {"requirements": [1.0], "delta": np.inf},
+    ])
+    def test_task_spec_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            TaskSpec(**kwargs)
 
     def test_assignment_requires_dense_labels(self):
         with pytest.raises(ValidationError):

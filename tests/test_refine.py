@@ -1,7 +1,11 @@
-"""Refinement tests: gain correctness, queue mechanics, climber behavior."""
+"""Refinement tests: gain correctness, cache consistency, climber behavior."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from fairteams.core import (Assignment, TaskSpec, compute_benefit_matrix,
@@ -9,8 +13,8 @@ from fairteams.core import (Assignment, TaskSpec, compute_benefit_matrix,
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
 from fairteams.initial import gmbf
-from fairteams.refine import (Move, MoveQueue, RefineConfig, SolverState,
-                              fmhc, move_gain, postprocess, sahc)
+from fairteams.refine import (Move, RefineConfig, SolverState, fmhc,
+                              move_gain, postprocess, sahc)
 from helpers import make_random_instance, make_random_spec, random_partition
 
 
@@ -162,43 +166,111 @@ class TestSolverState:
         assert np.array_equal(state.team_of, assignment.team_of)
 
 
-class TestMoveQueue:
-    def _matrix(self):
-        ninf = -np.inf
-        return np.array([[1.0, ninf, 2.0],
-                         [3.0, 3.0, ninf],
-                         [ninf, 0.5, -1.0]])
+COLUMN_CACHES = ("_new_ind", "_dest_delta", "_def_dest_new")
+TEAM_CACHES = ("sizes", "active", "sums", "defic", "benefit_vs_team",
+               "benefit_to_team", "ind", "group_sums", "own_by_group")
 
-    def test_pop_order_is_row_major_on_ties(self):
-        q = MoveQueue()
-        q.rebuild(self._matrix())
-        assert len(q) == 6
-        top = q.pop_max()
-        assert (top.move.student, top.move.dest, top.gain) == (1, 0, 3.0)
-        assert q.pop_max().move.dest == 1  # the tied entry, same student
-        assert q.pop_max().gain == 2.0
 
-    def test_remove_student_drops_their_entries(self):
-        q = MoveQueue()
-        q.rebuild(self._matrix())
-        q.remove_student(1)
-        assert len(q) == 4
-        students = {student for (student, _, _) in q.entries()}
-        assert students == {0, 2}
-        assert q.pop_max().gain == 2.0
+def _check_against_fresh(state, locked):
+    """Every cache, and the gains, equal a state rebuilt from team_of."""
+    fresh = SolverState(state.inst, state.spec, state.b, state.team_of,
+                        state.n_slots)
+    for name in COLUMN_CACHES + TEAM_CACHES:
+        np.testing.assert_allclose(getattr(state, name), getattr(fresh, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    assert state.n_active == fresh.n_active
+    gains = state.gain_matrix(locked)
+    want = fresh.gain_matrix(locked)
+    assert np.array_equal(np.isfinite(gains), np.isfinite(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(gains[finite], want[finite], rtol=0, atol=1e-9)
+    assert not np.isnan(gains).any()
+    for i, dest in np.argwhere(finite):
+        assert state.gain(int(i), int(dest)) == pytest.approx(
+            gains[i, dest], abs=1e-9)
+    return gains
 
-    def test_pop_on_empty_returns_none(self):
-        q = MoveQueue()
-        q.rebuild(np.full((2, 2), -np.inf))
-        assert len(q) == 0
-        assert q.pop_max() is None
 
-    def test_ops_counter_tracks_work(self):
-        q = MoveQueue()
-        q.rebuild(self._matrix())
-        assert q.ops == 6
-        q.pop_max()
-        assert q.ops == 7
+def _fresh_state(skills, groups, team_of, reqs, epsilon):
+    inst = make_instance(np.array(skills, dtype=float), groups)
+    spec = TaskSpec(requirements=reqs, gamma=1.0, delta=3.0,
+                    benefit_epsilon=epsilon)
+    b = compute_benefit_matrix(inst, epsilon)
+    return SolverState.from_assignment(inst, spec, b, Assignment(team_of))
+
+
+@st.composite
+def _move_sequences(draw):
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(3, n)))
+    levels = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.7, 1.0])
+    row = st.lists(levels | st.floats(0.0, 1.0), min_size=k, max_size=k)
+    if draw(st.booleans()):
+        skills = [draw(row)] * n  # identical students
+    else:
+        skills = draw(st.lists(row, min_size=n, max_size=n))
+    groups = list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    n_teams = draw(st.integers(1, n))
+    team_of = list(range(n_teams)) + draw(st.lists(
+        st.integers(0, n_teams - 1), min_size=n - n_teams,
+        max_size=n - n_teams))
+    reqs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                         min_size=k, max_size=k))
+    epsilon = draw(st.sampled_from([0.0, 0.1, 1.0, 2.0]))
+    picks = draw(st.lists(st.tuples(st.integers(0, 10_000), st.booleans()),
+                          max_size=12))
+    return skills, groups, team_of, reqs, epsilon, picks
+
+
+class TestCacheConsistency:
+    """Incremental caches after apply() equal a fresh rebuild; the gain
+    matrix equals the fresh one and the scalar gain() in every cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_move_sequences())
+    def test_random_move_sequences(self, case):
+        *shape, picks = case
+        state = _fresh_state(*shape)
+        locked = np.zeros(state.inst.n, dtype=bool)
+        _check_against_fresh(state, None)
+        for pick, lock in picks:
+            gains = _check_against_fresh(state, locked)
+            moves = np.argwhere(np.isfinite(gains))
+            if len(moves) == 0:
+                break
+            i, dest = moves[pick % len(moves)]
+            state.apply(int(i), int(dest))
+            locked[i] = lock
+            _check_against_fresh(state, None)
+
+    @pytest.mark.parametrize("skills, groups, team_of, reqs, epsilon", [
+        # N = 2, one group, one skill
+        ([[0.3], [0.9]], [0, 0], [0, 1], [1.0], 0.0),
+        # m = 1, k = 1, teams of size 1 and 2
+        ([[0.1], [0.5], [0.9]], [0, 0, 0], [0, 1, 1], [0.8], 0.0),
+        # identical skills: nobody benefits from anyone
+        ([[0.4, 0.6]] * 5, [0, 1, 0, 1, 0], [0, 0, 1, 1, 2], [1.0, 1.0],
+         0.0),
+        # epsilon >= 1, so b = 0 however far apart the skills are
+        ([[0.0], [1.0], [0.5], [0.2]], [0, 1, 1, 0], [0, 0, 1, 1], [2.0],
+         1.0),
+        # singletons only, three groups
+        ([[0.1, 0.9], [0.8, 0.2], [0.5, 0.5], [0.3, 0.3]], [0, 1, 2, 0],
+         [0, 1, 2, 3], [0.5, 0.5], 0.0),
+    ])
+    def test_degenerate_shapes_drained_to_one_team(self, skills, groups,
+                                                   team_of, reqs, epsilon):
+        # move members of the highest slot into the lowest until one is left
+        state = _fresh_state(skills, groups, team_of, reqs, epsilon)
+        while state.n_active > 1:
+            _check_against_fresh(state, None)
+            slots = np.flatnonzero(state.active)
+            student = np.flatnonzero(state.team_of == slots[-1])[0]
+            state.apply(int(student), int(slots[0]))
+        gains = _check_against_fresh(state, None)
+        assert state.n_active == 1 and not np.isfinite(gains).any()
 
 
 # Frozen search result: this start state has exactly one strictly improving
@@ -286,7 +358,6 @@ class TestSahc:
         stats = {}
         sahc(inst, spec, b, assignment, stats=stats)
         assert stats["iterations"] >= 1
-        assert stats["queue_ops"] >= stats["moves"]
 
 
 class TestFmhc:
@@ -357,7 +428,6 @@ class TestFmhc:
         stats = {}
         fmhc(inst, spec, b, assignment, stats=stats)
         assert stats["passes"] >= 1
-        assert stats["queue_ops"] > 0
 
 
 class TestPostprocess:
@@ -402,6 +472,11 @@ class TestRefineConfig:
         with pytest.raises(ValidationError):
             RefineConfig(gain_epsilon=-1e-6)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_epsilon(self, value):
+        with pytest.raises(ValidationError):
+            RefineConfig(gain_epsilon=value)
+
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValidationError):
             RefineConfig(max_passes=-1)
@@ -412,3 +487,80 @@ class TestRefineConfig:
         config = RefineConfig()
         assert config.gain_epsilon == pytest.approx(1e-4)
         assert config.max_passes is None
+
+
+# sha256 of the little-endian int64 team_of that each refiner returns from a
+# gmbf start, recorded before the gain engine was made incremental. Any change
+# to the gain arithmetic that flips a move choice changes one of these.
+# Columns: refiner, preset, n, dataset seed, delta (requirements 2,2; gamma 1).
+GOLDEN_ASSIGNMENTS = """
+fmhc d1  60 0   1 346678fd8e103851ac5dc539cff7a5233f29e82f7218caf6795115f77c18194f
+fmhc d1  60 0 100 c09754beca983b9e218597c39b67561c18f19723b08dd3c8b20605ef50ab105e
+fmhc d1  60 1   1 7f61d4cf5e7073376646f64dbdc7677956873d79f10f9a2ac2eff59a94e3cffc
+fmhc d1  60 1 100 03118269f729bd8505241f91ea853a6452d44ac5f0f058dafb7f398aee4c8900
+fmhc d1 100 0   1 56878642c5519c8b260ee332c1a86f7ff8d2330eff7aa075052f461a85fdf78e
+fmhc d1 100 0 100 5bd0356faa14bbffd704d535f5094afcee19e3526191bf8ad13bbbcafc0cd78a
+fmhc d1 100 1   1 44a383732a0b93506374e2b3e9ecf3abee72916d18451531835b8848e3ee03e8
+fmhc d1 100 1 100 591c7464433e417e16c64bf3e7adba438a036fd96891ae837358f77511f1cf6a
+fmhc d2  60 0   1 04d6c7b6927577ce7c349749c4e31ef4da883f3b7825290054745628e830a338
+fmhc d2  60 0 100 617f85b00d3a282b315ad3e87308043bfd848e100d8dc640b989f95ec4286bd8
+fmhc d2  60 1   1 a28787814672eb2b188516e17f0563f866b303eef891528d66539b5bee4a89f5
+fmhc d2  60 1 100 98e2e9aaef5d710482f8fe3252f3e75ab37a8011cfb4a00b5029ab09dfddf8ff
+fmhc d2 100 0   1 e4700afd9135ef07d6d29ac1e64d7897643abd1dcc6c6a8afb720f1d21e78247
+fmhc d2 100 0 100 30255778541411ed95fcbeebf34d0a85d85c46211747cb993a08554c45f97589
+fmhc d2 100 1   1 b3d9db9f63bc9785613a62dba842fb0b0b72a9005aad1028f76d4175c46768fe
+fmhc d2 100 1 100 7ab81345a0ca5a2842b42e8639860e27719b3e9f7337a66719105ca6047d9b40
+fmhc d3  60 0   1 56841b2a7d7e8f57f569d08b0cf3aa46010cd37c063c0b13f940f5c894db7103
+fmhc d3  60 0 100 9c6ee2ecd4d6cebe413b8434a8837a97434a1027c0119ba24ac7d04a9f962a7b
+fmhc d3  60 1   1 15039c6e52620e938e9a6c50da57ad5df9b53381c9e0660f3ce8b5cc5d89f6aa
+fmhc d3  60 1 100 8f8c86d6816989886be1f19b3ad9097e269c1dfd6d201c3e89592a86438f97b9
+fmhc d3 100 0   1 442d709ea09e648064a97b044d1b2e8810e07cc1618d5fb5a661d5d7f47ad0b5
+fmhc d3 100 0 100 795c47dbe1db8c8e4ede91fcfcbcafd422386ccad819e66154ddbec8bb90b992
+fmhc d3 100 1   1 d2ae09e4761b4b2c83d28bb129700eb61d07b26bdc99028259307a403597577b
+fmhc d3 100 1 100 5aa7ea4f6378fde39e21e60155b08dbbabcfafeaddcb06a6b173b826e9f5912f
+sahc d1  60 0   1 40aab09789d1fb81b6ea689784dc4dc033d9024360e95effced19e71d6c83c3e
+sahc d1  60 0 100 1aaa09b3546b3a6604f5b6334ebe30799adc8b8a9fa39d859dbf3a8b384ebb4e
+sahc d1  60 1   1 c5279a42af1c45ce80c17323a73b5df06abcffc5be0a7e7f698ce6dd8c6ce646
+sahc d1  60 1 100 75f8e9b1e44e49fab91fff2c8d249112a6ebe95f3ef0f59913a321e95b551215
+sahc d1 100 0   1 cd0e256d799208269ef02df978dcb3863469fbced535970d012125ae9e33166c
+sahc d1 100 0 100 70fe14c9b3ea1b3fe5ec7207c33980f037f5e5511b384d2244ca8e90fecb111f
+sahc d1 100 1   1 822584fe46915f02527ee02f2a11ec0c6bd7a60267500dfd166207e34d3ce0f3
+sahc d1 100 1 100 145899e26d98b72eaf9b3daae264f9e19d534b96abbfc0c8c8a0ebdd572a119e
+sahc d2  60 0   1 87b5b24e8b04fc7324f7aacff3f3eb5cd909052583537ce5ef15f9328ac64b11
+sahc d2  60 0 100 157bca2e526fa1e5e4cfe133f7024a7624c1f21534e34899f00e63978acb8fd6
+sahc d2  60 1   1 da2b1ad2e0098299462f60e3b5f4b9ce4ef946e69ca5e1f39557239cb5f24e47
+sahc d2  60 1 100 385672004cba8310098e4f974deadecc8c37394969cca9e31bbea7f95cc60e22
+sahc d2 100 0   1 ccfeb37144b4b4bc16adabd82185f4a9fce437c501fd53326b4e495e3b69da8c
+sahc d2 100 0 100 1384b14c36f473d10ba4e1f6909c77b353f6ef65c9946fbf2e1fe5d19740cc69
+sahc d2 100 1   1 ed3678ff3dc157d21bbd240aaaed062d4819abaa7cda39d4225a04fd836a8fbd
+sahc d2 100 1 100 c934befc76f9e8fea49235678613e389f9c0d32acb18dd08fc107fe88bfd437c
+sahc d3  60 0   1 e1666d542f8870a1865fc0714766214ec993772f8e961139d86c5ce90d910b2f
+sahc d3  60 0 100 9c6ee2ecd4d6cebe413b8434a8837a97434a1027c0119ba24ac7d04a9f962a7b
+sahc d3  60 1   1 433b5b05d39bf9819e85eac2cb65b930003e27465b6d27a43b9ed82eace1f7c6
+sahc d3  60 1 100 230b8f4a8dce287a7648850f564ecaeaf3d5518b6a5da60ce5bfda13e747907e
+sahc d3 100 0   1 2ca867021bc6356cb410808634c899efd2c527bab5dd9248ae89ff944cd26b7b
+sahc d3 100 0 100 1129b14e01e83475ff02e21c81951d94e56c79517f1ba13b17b05419db065905
+sahc d3 100 1   1 d6f7c76eef17527e1770d19eeecff171bfca8f7a3af9bfadc1b912d3ff0a8343
+sahc d3 100 1 100 4cf9af84e24216fd75cb17361a74bb340cd3ccffb651bdebaf522913726faa67
+"""
+
+
+def _golden_rows():
+    for line in GOLDEN_ASSIGNMENTS.strip().splitlines():
+        method, preset, n, seed, delta, digest = line.split()
+        yield method, preset, int(n), int(seed), float(delta), digest
+
+
+@pytest.mark.parametrize("method", ["fmhc", "sahc"])
+def test_refiners_reproduce_golden_assignments(method):
+    refiner = {"fmhc": fmhc, "sahc": sahc}[method]
+    rows = [row for row in _golden_rows() if row[0] == method]
+    assert len(rows) == 24
+    for _, preset, n, seed, delta, digest in rows:
+        inst = generate_dataset(preset_config(preset, n), seed=seed)
+        spec = TaskSpec(requirements=[2.0, 2.0], delta=delta)
+        b = compute_benefit_matrix(inst, 0.0)
+        team_of = refiner(inst, spec, b, gmbf(inst, spec, b)).team_of
+        got = hashlib.sha256(
+            np.ascontiguousarray(team_of, dtype="<i8").tobytes()).hexdigest()
+        assert got == digest, (preset, n, seed, delta)
