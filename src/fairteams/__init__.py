@@ -10,11 +10,9 @@ generator support head-to-head evaluation.
 
 from .baselines import GAParams, genetic_algorithm, uniform_kmeans
 from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
-                   avg_individual_benefit, compact_assignment,
-                   compute_benefit_matrix, group_benefit, group_benefits,
-                   group_benefit_variance, individual_benefit,
-                   individual_benefits, make_instance, objective,
-                   skill_deficiency, team_skill_sums)
+                   compact_assignment, compute_benefit_matrix,
+                   group_benefits, individual_benefits, make_instance,
+                   objective, objective_batch, team_skill_sums)
 from .datagen import (DatasetConfig, GroupGenSpec, bucket_distribution,
                       generate_dataset, generate_group, load_instance,
                       preset_config, save_roster)
@@ -24,23 +22,21 @@ from .harness import (ExperimentConfig, ExperimentResult, MetricsRecord,
                       metrics_csv_text, run_experiment, solve_instance,
                       write_metrics_csv)
 from .initial import gmbf, lmbf, lmbff, random_init
-from .refine import (Move, RefineConfig, SolverState, fmhc, move_gain,
-                     postprocess, sahc)
+from .refine import RefineConfig, SolverState, fmhc, postprocess, sahc
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "DatasetConfig", "ExperimentConfig", "ExperimentResult",
-    "GAParams", "GroupGenSpec", "Instance", "MetricsRecord", "Move",
+    "GAParams", "GroupGenSpec", "Instance", "MetricsRecord",
     "ObjectiveBreakdown", "RefineConfig", "RunFailure",
-    "SolverState", "TaskSpec", "ValidationError", "avg_individual_benefit",
+    "SolverState", "TaskSpec", "ValidationError",
     "bucket_distribution", "compact_assignment", "compute_benefit_matrix",
     "default_spec", "evaluate_solution", "fmhc", "generate_dataset",
-    "generate_group", "genetic_algorithm", "gmbf", "group_benefit",
-    "group_benefits", "group_benefit_variance", "individual_benefit",
+    "generate_group", "genetic_algorithm", "gmbf", "group_benefits",
     "individual_benefits", "lmbf", "lmbff", "load_instance", "make_instance",
-    "metrics_csv_text", "move_gain", "objective", "postprocess",
+    "metrics_csv_text", "objective", "objective_batch", "postprocess",
     "preset_config", "random_init", "run_experiment", "sahc", "save_roster",
-    "skill_deficiency", "solve_instance", "team_skill_sums",
-    "uniform_kmeans", "write_metrics_csv",
+    "solve_instance", "team_skill_sums", "uniform_kmeans",
+    "write_metrics_csv",
 ]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Instance, TaskSpec, compact_assignment
+from .core import (Assignment, Instance, TaskSpec, compact_assignment,
+                   objective_batch)
 from .errors import ValidationError
 from .rng import as_rng
 
@@ -111,32 +112,6 @@ class GAParams:
             raise ValidationError("elite_count must be below population_size")
 
 
-def _fitness(chrom: np.ndarray, instance: Instance, spec: TaskSpec,
-             bf: np.ndarray) -> float:
-    """Objective of the chromosome after dropping empty team ids.
-
-    Inlined (no Assignment round-trip): this runs population x generation
-    times per GA call.
-    """
-    n = instance.n
-    _, labels = np.unique(chrom, return_inverse=True)
-    n_teams = int(labels.max()) + 1
-    member = np.zeros((n, n_teams))
-    rows = np.arange(n)
-    member[rows, labels] = 1.0
-    sums = member.T @ instance.skills
-    shortfall = np.clip(spec.requirements - sums, 0.0, None)
-    x = float((shortfall ** 2).sum()) / (n_teams * instance.k)
-    own = (bf @ member)[rows, labels]
-    mates = member.sum(axis=0)[labels] - 1.0
-    ind = np.where(mates > 0, own / np.maximum(mates, 1.0), 0.0)
-    y = float(ind.mean())
-    group_sums = np.bincount(instance.groups, weights=ind, minlength=instance.m)
-    counts = np.bincount(instance.groups, minlength=instance.m)
-    z = float((group_sums / counts).var())
-    return x - spec.gamma * y + spec.delta * z
-
-
 def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
                       team_count: int, params: GAParams | None = None,
                       rng=0) -> Assignment:
@@ -153,9 +128,8 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
         raise ValidationError("team count must be between 1 and N")
     params = params or GAParams()
     rng = as_rng(rng)
-    bf = np.ascontiguousarray(b, dtype=np.float64)
     pop = rng.integers(0, team_count, size=(params.population_size, n))
-    fits = np.array([_fitness(c, instance, spec, bf) for c in pop])
+    fits = objective_batch(instance, spec, b, pop).f
 
     for _ in range(params.generations):
         elite_idx = np.argsort(fits, kind="stable")[:params.elite_count]
@@ -175,7 +149,7 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
                 child[a], child[bpos] = child[bpos], child[a]
             next_pop.append(child)
         pop = np.array(next_pop)
-        fits = np.array([_fitness(c, instance, spec, bf) for c in pop])
+        fits = objective_batch(instance, spec, b, pop).f
 
     best = int(np.argmin(fits))
     return compact_assignment(pop[best])

@@ -25,8 +25,8 @@ from .datagen import (PRESETS, generate_dataset, load_instance,
                       preset_config, save_roster)
 from .errors import ValidationError
 from .harness import (METHODS, ExperimentConfig, evaluate_solution,
-                      metrics_csv_text, run_experiment, solve_instance,
-                      write_metrics_csv)
+                      metrics_csv_text, roster_label, run_experiment,
+                      solve_instance, write_metrics_csv)
 from .refine import RefineConfig
 
 
@@ -226,11 +226,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _dataset_label(roster_path: str) -> str:
-    stem = roster_path.replace("\\", "/").rsplit("/", 1)[-1]
-    return stem.rsplit(".", 1)[0]
-
-
 def _cmd_solve(args) -> int:
     opts = _resolve(args, "solve")
     if not opts["roster"]:
@@ -249,7 +244,7 @@ def _cmd_solve(args) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1e3
     write_assignment(instance, assignment, opts["assignment_out"])
     record = evaluate_solution(instance, spec, assignment,
-                               dataset=_dataset_label(opts["roster"]),
+                               dataset=roster_label(opts["roster"]),
                                method=opts["method"], seed=opts["seed"],
                                runtime_ms=elapsed_ms)
     sys.stdout.write(metrics_csv_text([record]))
@@ -264,7 +259,7 @@ def _cmd_evaluate(args) -> int:
     spec = _build_task_spec(instance.k, opts)
     assignment = load_assignment(opts["assignment"], instance)
     record = evaluate_solution(instance, spec, assignment,
-                               dataset=_dataset_label(opts["roster"]),
+                               dataset=roster_label(opts["roster"]),
                                method="evaluate", seed=opts["seed"],
                                runtime_ms=0.0)
     sys.stdout.write(metrics_csv_text([record]))

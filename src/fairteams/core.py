@@ -156,11 +156,18 @@ class Assignment:
     def n_teams(self) -> int:
         return int(self.team_of.max()) + 1
 
-    def teams(self) -> list[np.ndarray]:
-        """Member index arrays, one per team id."""
-        order = np.argsort(self.team_of, kind="stable")
-        bounds = np.searchsorted(self.team_of[order], np.arange(self.n_teams + 1))
-        return [order[bounds[t]:bounds[t + 1]] for t in range(self.n_teams)]
+
+def _compact_rows(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of labels (P, N) renumbered densely in ascending label
+    order, plus the team count of each row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(labels, axis=1, kind="stable")
+    ranked = np.take_along_axis(labels, order, axis=1)
+    rank = np.zeros(labels.shape, dtype=np.int64)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+    team_of = np.empty_like(rank)
+    np.put_along_axis(team_of, order, rank, axis=1)
+    return team_of, rank.max(axis=1, initial=-1) + 1
 
 
 def compact_assignment(labels) -> Assignment:
@@ -169,13 +176,15 @@ def compact_assignment(labels) -> Assignment:
     Empty label values disappear; surviving labels are renumbered densely in
     ascending label order, so the result is deterministic.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    _, inverse = np.unique(labels, return_inverse=True)
-    return Assignment(inverse.astype(np.int64))
+    team_of, _ = _compact_rows(np.reshape(labels, (1, -1)))
+    return Assignment(team_of[0])
 
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
+    """Objective terms: floats from objective(), (P,) arrays from
+    objective_batch()."""
+
     x: float
     y: float
     z: float
@@ -197,61 +206,89 @@ def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
     return b.astype(np.int8)
 
 
+# Byte budget for objective_batch's (rows, N, N) co-membership mask; the
+# labelings are scored in blocks of rows that fit it (at least one row).
+_COMEMBER_BYTES = 1 << 18
+
+
+def _team_sums(skills: np.ndarray, team_of: np.ndarray,
+               width: int) -> np.ndarray:
+    """(P, width, k) skill totals, added in student order."""
+    n_rows, k = team_of.shape[0], skills.shape[1]
+    teams = team_of + width * np.arange(n_rows)[:, None]
+    bins = (teams[:, :, None] * k + np.arange(k)).ravel()
+    weights = np.broadcast_to(skills, (n_rows,) + skills.shape).ravel()
+    sums = np.bincount(bins, weights=weights, minlength=n_rows * width * k)
+    return sums.reshape(n_rows, width, k)
+
+
+def _individual_benefits(b: np.ndarray, team_of: np.ndarray) -> np.ndarray:
+    """(P, N) fraction of teammates each student benefits from."""
+    n_rows, n = team_of.shape
+    teams = team_of + n * np.arange(n_rows)[:, None]  # labels are below n
+    mates = np.bincount(teams.ravel(), minlength=n_rows * n)[teams] - 1
+    benefits = np.asarray(b, dtype=bool)
+    own = np.empty((n_rows, n), dtype=np.int64)
+    step = max(1, _COMEMBER_BYTES // (n * n))
+    for lo in range(0, n_rows, step):
+        block = team_of[lo:lo + step]
+        mask = block[:, :, None] == block[:, None, :]
+        mask &= benefits
+        own[lo:lo + step] = mask.sum(axis=2)
+    return np.where(mates > 0, own / np.maximum(mates, 1), 0.0)
+
+
+def _group_benefits(ind: np.ndarray, instance: Instance) -> np.ndarray:
+    """(P, m) mean individual benefit per group, added in student order."""
+    m = instance.m
+    bins = (instance.groups + m * np.arange(ind.shape[0])[:, None]).ravel()
+    sums = np.bincount(bins, weights=ind.ravel(), minlength=ind.shape[0] * m)
+    return sums.reshape(-1, m) / np.bincount(instance.groups, minlength=m)
+
+
 def individual_benefits(b: np.ndarray, assignment: Assignment) -> np.ndarray:
     """Fraction of teammates each student benefits from; singletons get 0."""
-    out = np.zeros(assignment.n, dtype=np.float64)
-    for members in assignment.teams():
-        if members.size < 2:
-            continue
-        counts = b[np.ix_(members, members)].sum(axis=1, dtype=np.float64)
-        out[members] = counts / (members.size - 1)
-    return out
-
-
-def individual_benefit(b: np.ndarray, assignment: Assignment, student: int) -> float:
-    return float(individual_benefits(b, assignment)[student])
+    return _individual_benefits(b, assignment.team_of[None])[0]
 
 
 def group_benefits(b: np.ndarray, assignment: Assignment,
                    instance: Instance) -> np.ndarray:
     """Mean individual benefit per group, index q in 0..m-1."""
-    ind = individual_benefits(b, assignment)
-    sums = np.bincount(instance.groups, weights=ind, minlength=instance.m)
-    counts = np.bincount(instance.groups, minlength=instance.m)
-    return sums / counts
-
-
-def group_benefit(b: np.ndarray, assignment: Assignment, instance: Instance,
-                  q: int) -> float:
-    if not 0 <= q < instance.m:
-        raise ValidationError(f"group id {q} out of range")
-    return float(group_benefits(b, assignment, instance)[q])
+    return _group_benefits(individual_benefits(b, assignment)[None],
+                           instance)[0]
 
 
 def team_skill_sums(instance: Instance, assignment: Assignment) -> np.ndarray:
     """(L, k) matrix of per-team skill totals."""
-    sums = np.zeros((assignment.n_teams, instance.k), dtype=np.float64)
-    np.add.at(sums, assignment.team_of, instance.skills)
-    return sums
+    return _team_sums(instance.skills, assignment.team_of[None],
+                      assignment.n_teams)[0]
 
 
-def skill_deficiency(instance: Instance, assignment: Assignment,
-                     requirements) -> float:
-    """Mean squared shortfall below the requirements, over teams and skills."""
-    requirements = np.asarray(requirements, dtype=np.float64).reshape(-1)
-    sums = team_skill_sums(instance, assignment)
-    shortfall = np.clip(requirements[None, :] - sums, 0.0, None)
-    return float((shortfall ** 2).sum() / (assignment.n_teams * instance.k))
+def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
+                    labels) -> ObjectiveBreakdown:
+    """Evaluate (x, y, z, f) for each row of a (P, N) array of team labels.
 
-
-def avg_individual_benefit(b: np.ndarray, assignment: Assignment) -> float:
-    return float(individual_benefits(b, assignment).mean())
-
-
-def group_benefit_variance(b: np.ndarray, assignment: Assignment,
-                           instance: Instance) -> float:
-    """Population variance (divide by m) of the group benefits."""
-    return float(group_benefits(b, assignment, instance).var())
+    Each row is scored as compact_assignment(row) would be: empty labels
+    drop out of the team count. The fields of the result are (P,) arrays,
+    and row p matches objective() on that assignment bit for bit. b must be
+    the 0/1 benefit matrix for (instance, spec.benefit_epsilon).
+    """
+    team_of, n_teams = _compact_rows(labels)
+    k = instance.k
+    sums = _team_sums(instance.skills, team_of, int(n_teams.max()))
+    squares = np.clip(spec.requirements - sums, 0.0, None) ** 2
+    x = np.empty(n_teams.shape)
+    for count in np.unique(n_teams):
+        rows = n_teams == count
+        # exactly L * k terms per row: padding would regroup numpy's
+        # pairwise sum and change the last bits
+        flat = squares[rows, :count].reshape(-1, count * k)
+        x[rows] = flat.sum(axis=1) / (count * k)
+    ind = _individual_benefits(b, team_of)
+    y = ind.mean(axis=1)
+    z = _group_benefits(ind, instance).var(axis=1)
+    return ObjectiveBreakdown(x=x, y=y, z=z,
+                              f=x - spec.gamma * y + spec.delta * z)
 
 
 def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,
@@ -263,8 +300,6 @@ def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,
     """
     if b is None:
         b = compute_benefit_matrix(instance, spec.benefit_epsilon)
-    x = skill_deficiency(instance, assignment, spec.requirements)
-    y = avg_individual_benefit(b, assignment)
-    z = group_benefit_variance(b, assignment, instance)
-    f = x - spec.gamma * y + spec.delta * z
-    return ObjectiveBreakdown(x=x, y=y, z=z, f=f)
+    batch = objective_batch(instance, spec, b, assignment.team_of[None])
+    return ObjectiveBreakdown(x=float(batch.x[0]), y=float(batch.y[0]),
+                              z=float(batch.z[0]), f=float(batch.f[0]))

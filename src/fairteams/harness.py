@@ -168,8 +168,14 @@ class ExperimentConfig:
             return self.dataset_name
         if self.preset is not None:
             return self.preset.lower()
-        stem = str(self.roster).rsplit("/", 1)[-1]
-        return stem.rsplit(".", 1)[0]
+        return roster_label(self.roster)
+
+
+def roster_label(path) -> str:
+    """File name of a roster path without its extension; both / and \\
+    separate directories."""
+    stem = str(path).replace("\\", "/").rsplit("/", 1)[-1]
+    return stem.rsplit(".", 1)[0]
 
 
 def default_spec(k: int) -> TaskSpec:

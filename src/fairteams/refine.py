@@ -52,13 +52,6 @@ class RefineConfig:
             raise ValidationError("max_passes must be at least 1 when set")
 
 
-@dataclass(frozen=True)
-class Move:
-    student: int
-    source: int
-    dest: int
-
-
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
     """Per-team squared shortfall, summed over skills. sums: (..., k)."""
     shortfall = np.clip(requirements - sums, 0.0, None)
@@ -338,13 +331,6 @@ class SolverState:
             np.add.at(row, inst.groups[members], own)
             self.own_by_group[slot] = row
         self._refresh_columns(np.array([src, dest]))
-
-
-def move_gain(state: SolverState, move: Move) -> float:
-    """Objective reduction for a move; positive means improvement."""
-    if int(state.team_of[move.student]) != move.source:
-        raise ValidationError("move source does not match the current state")
-    return state.gain(move.student, move.dest)
 
 
 def _best_move(gains: np.ndarray) -> tuple[int, int, float]:

@@ -22,7 +22,7 @@ from fairteams.core import (Assignment, TaskSpec, compute_benefit_matrix,
 from fairteams.datagen import bucket_distribution, generate_dataset, preset_config
 from fairteams.harness import ExperimentConfig, default_spec, run_experiment
 from fairteams.initial import gmbf, lmbf, lmbff, random_init
-from fairteams.refine import Move, SolverState, fmhc, move_gain, sahc
+from fairteams.refine import SolverState, fmhc, sahc
 from helpers import make_random_instance, make_random_spec, random_partition
 
 # Absolute tolerance for float comparisons throughout the suite.
@@ -69,7 +69,7 @@ def test_01_incremental_gain_matches_recomputed_objective():
             moved = state.team_of.copy()
             moved[student] = dest
             after = _oracle_f(inst, spec, moved, b)
-            got = move_gain(state, Move(student=student, source=src, dest=dest))
+            got = state.gain(student, dest)
             worst = max(worst, abs(got - (before - after)))
             checked += 1
             if rng.random() < 0.5:

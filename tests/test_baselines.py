@@ -1,5 +1,7 @@
 """Baseline solver tests: capacitated k-means dealing and the GA."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,37 @@ class TestGeneticAlgorithm:
         best = pop[int(np.argmin(fits))]
         _, inverse = np.unique(best, return_inverse=True)
         assert out.team_of.tolist() == inverse.tolist()
+
+
+# sha256 of the little-endian int64 team_of that genetic_algorithm returns,
+# recorded while the GA still scored chromosomes one at a time. Columns:
+# preset, n, dataset seed, team count, population, generations, GA seed,
+# delta (requirements 2,2; gamma 1). The rows with a team count near n/2
+# breed chromosomes that lose teams, so fitness compaction runs.
+GOLDEN_GA = """
+d1 30 0  6 12 10 0   1 d3cf950a5c029ac72f3500b892b0fe977a3adab28e5a56455cacfc3d6da79b96
+d2 40 1  8 16 12 1   1 1170793f3865e330619dc95606da16dd4f3d505c67e5acf89b8b4f550db586fa
+d3 40 2 10 10 20 2 100 e73cd110e886bcb1792a9ad4c42ab7fe73619ec48df1004ce10a2d2d64417577
+d3 24 3 12 14 10 3   1 756dbc88d76dde70000959609de0c82e76d2802418d90c9bef0d440954231164
+d1 20 4 10  8 25 4 100 7e0f5a581a89534ec700748b78ff60c284c2fa1fa71055597744fa9a99913044
+d2 50 5 25 10  8 5   1 d937b06f30e0675e516dc0edf5ec94b8ec6a39e7779a31ca0d006473fa4f830f
+"""
+
+
+def test_genetic_algorithm_reproduces_golden_assignments():
+    rows = GOLDEN_GA.strip().splitlines()
+    assert len(rows) == 6
+    for line in rows:
+        preset, n, data_seed, teams, pop, gens, seed, delta, digest = \
+            line.split()
+        inst = generate_dataset(preset_config(preset, int(n)),
+                                seed=int(data_seed))
+        spec = TaskSpec(requirements=[2.0, 2.0], delta=float(delta))
+        b = compute_benefit_matrix(inst, 0.0)
+        params = GAParams(population_size=int(pop), generations=int(gens))
+        out = genetic_algorithm(inst, spec, b, int(teams), params=params,
+                                rng=int(seed))
+        got = hashlib.sha256(
+            np.ascontiguousarray(out.team_of, dtype="<i8").tobytes()
+        ).hexdigest()
+        assert got == digest, line

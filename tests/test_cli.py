@@ -326,6 +326,21 @@ class TestExperiment:
         # fixed roster + deterministic method: metric columns repeat per seed
         assert rows[0]["y_pct"] == rows[1]["y_pct"]
 
+    def test_backslash_roster_label_matches_solve(self, tmp_path, capsys):
+        # a backslash separates directories in dataset labels, in experiment
+        # rows just as in solve output
+        roster = _write(tmp_path, "dir\\r.csv", QUAD_ROSTER)
+        assert main(["solve", "--roster", roster, "--method", "gmbf",
+                     "--assignment-out", str(tmp_path / "a.csv")]) == 0
+        _, solved = _parse_csv(capsys.readouterr().out)
+        out = str(tmp_path / "metrics.csv")
+        assert main(["experiment", "--roster", roster, "--methods", "gmbf",
+                     "--seeds", "0", "--out", out]) == 0
+        capsys.readouterr()
+        _, rows = _parse_csv((tmp_path / "metrics.csv").read_text())
+        assert solved[0]["dataset"] == "r"
+        assert {r["dataset"] for r in rows} == {"r"}
+
     def test_bad_seed_token_in_flag_is_usage_error(self, tmp_path):
         assert main(["experiment", "--preset", "d1",
                      "--seeds", "0..x", "--out",

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
-from fairteams.core import (Assignment, TaskSpec, avg_individual_benefit,
-                            compact_assignment, compute_benefit_matrix,
-                            group_benefit, group_benefit_variance,
-                            group_benefits, individual_benefit,
+from fairteams.core import (Assignment, TaskSpec, compact_assignment,
+                            compute_benefit_matrix, group_benefits,
                             individual_benefits, make_instance, objective,
-                            skill_deficiency, team_skill_sums)
+                            objective_batch, team_skill_sums)
 from fairteams.errors import ValidationError
 from helpers import make_random_instance, make_random_spec, random_partition
 
@@ -81,19 +81,19 @@ class TestIndividualBenefit:
         inst = inst_1d([0.2, 0.5, 0.1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0])
-        assert individual_benefit(b, a, 0) == 0.5
+        assert individual_benefits(b, a)[0] == 0.5
 
     def test_singleton_is_zero(self):
         inst = inst_1d([0.2, 0.5, 0.1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 1, 1])
-        assert individual_benefit(b, a, 0) == 0.0
+        assert individual_benefits(b, a)[0] == 0.0
 
     def test_all_teammates_benefit(self):
         inst = inst_1d([0.1, 0.5, 0.6, 0.7])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0, 0])
-        assert individual_benefit(b, a, 0) == 1.0
+        assert individual_benefits(b, a)[0] == 1.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -115,41 +115,40 @@ class TestGroupBenefit:
             [0, 1, 1, 0, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0, 1, 1])
-        assert individual_benefit(b, a, 0) == 0.5
-        assert individual_benefit(b, a, 3) == 1.0
-        assert group_benefit(b, a, inst, 0) == pytest.approx(0.75)
+        ind = individual_benefits(b, a)
+        assert ind[0] == 0.5
+        assert ind[3] == 1.0
+        assert group_benefits(b, a, inst)[0] == pytest.approx(0.75)
 
     def test_all_singletons_zero(self):
         inst = inst_1d([0.1, 0.4, 0.9], [0, 0, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 1, 2])
-        assert group_benefit(b, a, inst, 0) == 0.0
-        assert group_benefit(b, a, inst, 1) == 0.0
+        assert group_benefits(b, a, inst).tolist() == [0.0, 0.0]
 
     def test_one_member_group(self):
         inst = inst_1d([0.2, 0.5, 0.1], [0, 0, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0])
-        assert group_benefit(b, a, inst, 1) == individual_benefit(b, a, 2)
+        assert group_benefits(b, a, inst)[1] == individual_benefits(b, a)[2]
 
-    def test_group_id_out_of_range(self):
-        inst = inst_1d([0.2, 0.5], [0, 1])
-        b = compute_benefit_matrix(inst, 0.0)
-        with pytest.raises(ValidationError):
-            group_benefit(b, Assignment([0, 0]), inst, 2)
+
+def deficiency(inst, a, requirements):
+    """x term of the objective under the given requirements."""
+    return objective(inst, TaskSpec(requirements=requirements), a).x
 
 
 class TestSkillDeficiency:
     def test_single_team_shortfall(self):
         inst = inst_1d([0.9, 0.6])
         a = Assignment([0, 0])
-        assert skill_deficiency(inst, a, [2.0]) == pytest.approx(0.25)
+        assert deficiency(inst, a, [2.0]) == pytest.approx(0.25)
 
     def test_zero_when_all_requirements_met(self):
         inst = make_instance([[0.9, 0.8], [0.9, 0.9], [0.5, 0.9], [0.9, 0.5]],
                              [0, 0, 0, 0])
         a = Assignment([0, 0, 1, 1])
-        assert skill_deficiency(inst, a, [1.0, 1.0]) == 0.0
+        assert deficiency(inst, a, [1.0, 1.0]) == 0.0
 
     def test_two_team_example(self):
         # sums (2.5, 1.0) and (2.0, 2.0) vs r=(2,2): one shortfall of 1.0
@@ -159,7 +158,7 @@ class TestSkillDeficiency:
         a = Assignment([0, 0, 0, 1, 1])
         assert np.allclose(team_skill_sums(inst, a),
                            [[2.5, 1.0], [2.0, 2.0]])
-        assert skill_deficiency(inst, a, [2.0, 2.0]) == pytest.approx(0.25)
+        assert deficiency(inst, a, [2.0, 2.0]) == pytest.approx(0.25)
 
     def test_monotone_in_skills(self):
         rng = np.random.default_rng(4)
@@ -167,25 +166,31 @@ class TestSkillDeficiency:
             inst = make_random_instance(rng)
             a = random_partition(rng, inst.n, int(rng.integers(1, inst.n)))
             r = rng.random(inst.k) * 3
-            base = skill_deficiency(inst, a, r)
+            base = deficiency(inst, a, r)
             i = int(rng.integers(inst.n))
             p = int(rng.integers(inst.k))
             bumped = inst.skills.copy()
             bumped[i, p] = min(1.0, bumped[i, p] + float(rng.random()))
             inst2 = make_instance(bumped, inst.groups)
-            assert skill_deficiency(inst2, a, r) <= base + 1e-12
+            assert deficiency(inst2, a, r) <= base + 1e-12
+
+
+def benefit_terms(inst, a, b):
+    """(y, z) terms of the objective for a precomputed benefit matrix."""
+    got = objective(inst, TaskSpec(requirements=np.full(inst.k, 2.0)), a, b=b)
+    return got.y, got.z
 
 
 class TestAverageBenefit:
     def test_mutual_pair(self):
         inst = make_instance([[0.2, 0.9], [0.9, 0.2]], [0, 0])
         b = compute_benefit_matrix(inst, 0.0)
-        assert avg_individual_benefit(b, Assignment([0, 0])) == 1.0
+        assert benefit_terms(inst, Assignment([0, 0]), b)[0] == 1.0
 
     def test_all_singletons(self):
         inst = inst_1d([0.1, 0.5, 0.9])
         b = compute_benefit_matrix(inst, 0.0)
-        assert avg_individual_benefit(b, Assignment([0, 1, 2])) == 0.0
+        assert benefit_terms(inst, Assignment([0, 1, 2]), b)[0] == 0.0
 
     def test_three_student_mean(self):
         # one team, 1-d skills: benefits (1, 0.5, 0) bottom to top
@@ -193,7 +198,7 @@ class TestAverageBenefit:
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0])
         assert individual_benefits(b, a).tolist() == [1.0, 0.5, 0.0]
-        assert avg_individual_benefit(b, a) == pytest.approx(0.5)
+        assert benefit_terms(inst, a, b)[0] == pytest.approx(0.5)
 
 
 class TestGroupVariance:
@@ -201,7 +206,7 @@ class TestGroupVariance:
         inst = inst_1d([0.1, 0.9, 0.1, 0.9], [0, 0, 1, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 1, 1])  # both groups have benefits (1, 0)
-        assert group_benefit_variance(b, a, inst) == 0.0
+        assert benefit_terms(inst, a, b)[1] == 0.0
 
     def test_two_group_example(self):
         # three weak/strong pairs and four singletons chosen so the group
@@ -213,15 +218,14 @@ class TestGroupVariance:
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment(teams)
         assert np.allclose(group_benefits(b, a, inst), [0.2, 0.4])
-        assert group_benefit_variance(b, a, inst) == pytest.approx(
-            0.01, abs=1e-12)
+        assert benefit_terms(inst, a, b)[1] == pytest.approx(0.01, abs=1e-12)
 
     def test_single_group_zero(self):
         rng = np.random.default_rng(5)
         inst = make_random_instance(rng, m=1)
         b = compute_benefit_matrix(inst, 0.0)
         a = random_partition(rng, inst.n, 3)
-        assert group_benefit_variance(b, a, inst) == 0.0
+        assert benefit_terms(inst, a, b)[1] == 0.0
 
     def test_population_variance_formula(self):
         rng = np.random.default_rng(6)
@@ -231,7 +235,7 @@ class TestGroupVariance:
             a = random_partition(rng, inst.n, int(rng.integers(1, inst.n)))
             g = group_benefits(b, a, inst)
             want = float(np.mean((g - g.mean()) ** 2))
-            assert group_benefit_variance(b, a, inst) == pytest.approx(
+            assert benefit_terms(inst, a, b)[1] == pytest.approx(
                 want, abs=1e-12)
 
 
@@ -272,6 +276,54 @@ class TestObjective:
             assert got.f == pytest.approx(f, abs=1e-12)
 
 
+@st.composite
+def _labelings(draw):
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(3, n)))
+    levels = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.7, 1.0])
+    row = st.lists(levels | st.floats(0.0, 1.0), min_size=k, max_size=k)
+    skills = draw(st.lists(row, min_size=n, max_size=n))
+    groups = list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    # sparse, possibly negative labels: rows may leave most values unused
+    labels = draw(st.lists(st.lists(st.integers(-3, 3 * n), min_size=n,
+                                    max_size=n), min_size=1, max_size=6))
+    reqs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                         min_size=k, max_size=k))
+    epsilon = draw(st.sampled_from([0.0, 0.1, 1.0, 2.0]))
+    gamma, delta = draw(st.sampled_from([(1.0, 1.0), (0.3, 100.0),
+                                         (0.0, 0.0), (2.0, 0.7)]))
+    return skills, groups, labels, reqs, epsilon, gamma, delta
+
+
+class TestObjectiveBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(_labelings())
+    # N = 2, m = 1, k = 1: one team, then two singletons
+    @example(([[0.3], [0.9]], [0, 0], [[5, 5], [0, 7]], [1.0], 0.0,
+              1.0, 1.0))
+    # singletons only and one team, three groups
+    @example(([[0.1, 0.9], [0.8, 0.2], [0.5, 0.5], [0.3, 0.3]], [0, 1, 2, 0],
+              [[3, 1, 2, 0], [4, 4, 4, 4], [9, -2, 9, 40]], [0.5, 0.5], 0.0,
+              1.0, 100.0))
+    # epsilon >= 1, so b = 0 however far apart the skills are
+    @example(([[0.0], [1.0], [0.5], [0.2]], [0, 1, 1, 0],
+              [[0, 0, 1, 1], [2, 0, 2, 0]], [2.0], 1.0, 1.0, 1.0))
+    def test_rows_match_objective_bit_for_bit(self, case):
+        skills, groups, labels, reqs, epsilon, gamma, delta = case
+        inst = make_instance(skills, groups)
+        spec = TaskSpec(requirements=reqs, benefit_epsilon=epsilon,
+                        gamma=gamma, delta=delta)
+        b = compute_benefit_matrix(inst, epsilon)
+        batch = objective_batch(inst, spec, b, np.array(labels))
+        got = np.stack([batch.x, batch.y, batch.z, batch.f], axis=1)
+        for p, row in enumerate(labels):
+            one = objective(inst, spec, compact_assignment(row), b=b)
+            want = np.array([one.x, one.y, one.z, one.f])
+            assert got[p].tobytes() == want.tobytes(), (p, got[p], want)
+
+
 class TestObjectiveInvariants:
     def test_student_permutation_invariance(self):
         rng = np.random.default_rng(10)
@@ -307,7 +359,7 @@ class TestObjectiveInvariants:
             r = rng.random(inst.k) * 2
             sums = team_skill_sums(inst, a)
             all_met = bool(np.all(sums >= r))
-            assert (skill_deficiency(inst, a, r) == 0.0) == all_met
+            assert (deficiency(inst, a, r) == 0.0) == all_met
 
     def test_bounds(self):
         rng = np.random.default_rng(13)
@@ -375,7 +427,7 @@ class TestDomainTypes:
             Assignment([-1, 0])
         a = Assignment([1, 0, 1])
         assert a.n_teams == 2
-        assert [t.tolist() for t in a.teams()] == [[1], [0, 2]]
+        assert a.team_of.tolist() == [1, 0, 1]
 
     def test_compact_assignment(self):
         a = compact_assignment([7, 3, 7, 9])

@@ -13,8 +13,8 @@ from fairteams.core import (Assignment, TaskSpec, compute_benefit_matrix,
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
 from fairteams.initial import gmbf
-from fairteams.refine import (Move, RefineConfig, SolverState, fmhc,
-                              move_gain, postprocess, sahc)
+from fairteams.refine import (RefineConfig, SolverState, fmhc, postprocess,
+                              sahc)
 from helpers import make_random_instance, make_random_spec, random_partition
 
 
@@ -115,17 +115,6 @@ class TestGainCorrectness:
         _, _, _, assignment, state = _random_state(rng)
         with pytest.raises(ValidationError):
             state.gain(0, assignment.team_of[0])
-
-    def test_move_gain_checks_source(self):
-        rng = np.random.default_rng(24)
-        _, _, _, assignment, state = _random_state(rng)
-        src = assignment.team_of[0]
-        dest = (src + 1) % state.n_slots
-        wrong = (src + 1) % state.n_slots
-        with pytest.raises(ValidationError):
-            move_gain(state, Move(student=0, source=wrong, dest=dest))
-        value = move_gain(state, Move(student=0, source=int(src), dest=int(dest)))
-        assert value == pytest.approx(state.gain(0, dest), abs=1e-15)
 
 
 class TestSolverState:
