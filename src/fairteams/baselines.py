@@ -22,13 +22,13 @@ def uniform_kmeans(instance: Instance, team_count: int,
                    rng=0) -> Assignment:
     """Cluster students in skill space, then deal clusters into teams.
 
-    Clusters are capped at ceil(N / C) members with C = ceil(N / L); only
-    N mod C clusters (when that is nonzero... see below) may reach the cap
-    so cluster sizes stay within one of each other. Students enter clusters
-    by descending distance gap (second-nearest centroid minus nearest),
-    ties toward the lower index. Teams are then filled round-robin, one
-    student per cluster per sweep, with a cursor that carries across
-    clusters so team sizes also stay within one.
+    Clusters are capped at ceil(N / C) members with C = ceil(N / L): all C
+    clusters may reach the cap when C divides N, otherwise N mod C may and
+    the rest stop one short, so cluster sizes stay within one. Students
+    enter clusters by descending distance gap (second-nearest centroid
+    minus nearest), ties toward the lower index. Teams are then filled
+    round-robin, one student per cluster per sweep, with a cursor that
+    carries across clusters so team sizes also stay within one.
     """
     n = instance.n
     if not 1 <= team_count <= n:
@@ -118,37 +118,48 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
     """Direct-encoding GA over team labels.
 
     Chromosome: one team id per student. Uniform crossover per gene,
-    mutation swaps the teams of two distinct students, binary tournament
-    selection (first minimum wins ties), elitism keeps the best
-    chromosome(s) verbatim. Fitness compacts empty team ids before
-    evaluating, so extinct teams shrink the divisor rather than padding it.
+    mutation swaps the teams of two distinct students, tournament selection
+    (first minimum wins ties), elitism keeps the best chromosome(s)
+    verbatim. Fitness compacts empty team ids before evaluating, so extinct
+    teams shrink the divisor rather than padding it.
+
+    Per child, in order, the generator draws integers(0, P, size=2t) for
+    both tournaments, random(n + 1) for the crossover coins and then the
+    mutation coin, and choice(n, size=2, replace=False) if that coin is
+    below mutation_prob: exactly the stream of breeding one child at a
+    time, so a seed gives the same result. The rest runs per generation.
     """
     n = instance.n
     if not 1 <= team_count <= n:
         raise ValidationError("team count must be between 1 and N")
     params = params or GAParams()
     rng = as_rng(rng)
-    pop = rng.integers(0, team_count, size=(params.population_size, n))
+    size, tour = params.population_size, params.tournament_size
+    n_children = size - params.elite_count
+    pop = rng.integers(0, team_count, size=(size, n))
     fits = objective_batch(instance, spec, b, pop).f
+    draws = np.empty((n_children, 2 * tour), dtype=np.int64)
+    coins = np.empty((n_children, n + 1))
+    swaps = np.empty((n_children, 2), dtype=np.int64)
 
     for _ in range(params.generations):
+        for c in range(n_children):
+            draws[c] = rng.integers(0, size, size=2 * tour)
+            rng.random(out=coins[c])
+            if coins[c, n] < params.mutation_prob:
+                swaps[c] = rng.choice(n, size=2, replace=False)
+        # each half of a row is one tournament; argmin keeps the first minimum
+        entrants = draws.reshape(n_children, 2, tour)
+        pick = np.argmin(fits[entrants], axis=2)
+        winners = np.take_along_axis(entrants, pick[..., None], axis=2)[..., 0]
+        children = np.where(coins[:, :n] < params.crossover_prob,
+                            pop[winners[:, 1]], pop[winners[:, 0]])
+        rows = np.flatnonzero(coins[:, n] < params.mutation_prob)
+        a, bpos = swaps[rows].T
+        children[rows, a], children[rows, bpos] = \
+            children[rows, bpos], children[rows, a]
         elite_idx = np.argsort(fits, kind="stable")[:params.elite_count]
-        next_pop = [pop[i].copy() for i in elite_idx]
-        while len(next_pop) < params.population_size:
-            parents = []
-            for _ in range(2):
-                draws = rng.integers(0, params.population_size,
-                                     size=params.tournament_size)
-                winner = draws[np.argmin(fits[draws])]
-                parents.append(pop[winner])
-            child = parents[0].copy()
-            take = rng.random(n) < params.crossover_prob
-            child[take] = parents[1][take]
-            if rng.random() < params.mutation_prob and n >= 2:
-                a, bpos = rng.choice(n, size=2, replace=False)
-                child[a], child[bpos] = child[bpos], child[a]
-            next_pop.append(child)
-        pop = np.array(next_pop)
+        pop = np.concatenate((pop[elite_idx], children))
         fits = objective_batch(instance, spec, b, pop).f
 
     best = int(np.argmin(fits))

@@ -228,13 +228,14 @@ def _individual_benefits(b: np.ndarray, team_of: np.ndarray) -> np.ndarray:
     teams = team_of + n * np.arange(n_rows)[:, None]  # labels are below n
     mates = np.bincount(teams.ravel(), minlength=n_rows * n)[teams] - 1
     benefits = np.asarray(b, dtype=bool)
+    narrow = team_of.astype(np.min_scalar_type(n))  # cheaper to compare
     own = np.empty((n_rows, n), dtype=np.int64)
     step = max(1, _COMEMBER_BYTES // (n * n))
     for lo in range(0, n_rows, step):
-        block = team_of[lo:lo + step]
+        block = narrow[lo:lo + step]
         mask = block[:, :, None] == block[:, None, :]
         mask &= benefits
-        own[lo:lo + step] = mask.sum(axis=2)
+        own[lo:lo + step] = np.count_nonzero(mask, axis=2)
     return np.where(mates > 0, own / np.maximum(mates, 1), 0.0)
 
 

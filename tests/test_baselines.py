@@ -1,6 +1,7 @@
 """Baseline solver tests: capacitated k-means dealing and the GA."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -220,20 +221,76 @@ d2 50 5 25 10  8 5   1 d937b06f30e0675e516dc0edf5ec94b8ec6a39e7779a31ca0d006473f
 """
 
 
+def _ga_hash(preset, n, data_seed, teams, delta, params, rng):
+    """sha256 object fed the little-endian int64 team_of of one GA run."""
+    inst = generate_dataset(preset_config(preset, int(n)),
+                            seed=int(data_seed))
+    spec = TaskSpec(requirements=[2.0, 2.0], delta=float(delta))
+    b = compute_benefit_matrix(inst, 0.0)
+    out = genetic_algorithm(inst, spec, b, int(teams), params=params, rng=rng)
+    return hashlib.sha256(
+        np.ascontiguousarray(out.team_of, dtype="<i8").tobytes())
+
+
 def test_genetic_algorithm_reproduces_golden_assignments():
     rows = GOLDEN_GA.strip().splitlines()
     assert len(rows) == 6
     for line in rows:
         preset, n, data_seed, teams, pop, gens, seed, delta, digest = \
             line.split()
-        inst = generate_dataset(preset_config(preset, int(n)),
-                                seed=int(data_seed))
-        spec = TaskSpec(requirements=[2.0, 2.0], delta=float(delta))
-        b = compute_benefit_matrix(inst, 0.0)
         params = GAParams(population_size=int(pop), generations=int(gens))
-        out = genetic_algorithm(inst, spec, b, int(teams), params=params,
-                                rng=int(seed))
-        got = hashlib.sha256(
-            np.ascontiguousarray(out.team_of, dtype="<i8").tobytes()
-        ).hexdigest()
+        got = _ga_hash(preset, n, data_seed, teams, delta, params,
+                       rng=int(seed)).hexdigest()
         assert got == digest, line
+
+
+# Same recipe over non-default GAParams, with the generator's final
+# bit_generator.state hashed after team_of, so the rows pin the exact
+# sequence of draws as well as the answer. Recorded while children were
+# still bred one at a time. Extra columns: tournament size, elite count,
+# mutation and crossover probability. The first sixteen rows cross the
+# extremes of those four; then n=2 with one and two teams; then a
+# population of two with a tournament wider than it.
+GOLDEN_GA_PARAMS = """
+d1 18  0  4 10  8  0   1 1 0 0   0   38b1474e6d024bceae3cae6c6b6ac47a7338438db3ec2a10aa7026416355c10f
+d2 20  1  6 10  8  1 100 1 0 0   1   fa8da4a4877ac0b961ebda430ba491fce401d2dda4f951d9b2eb8afb440a06fb
+d3 22  2  9 10  8  2   1 1 0 1   0   e90dff291f6d9f4d54230dde70ddc824793e2f0e8a0737ef2f32834ee4ba1421
+d1 24  3  3 10  8  3 100 1 0 1   1   fe9ab75a049ea891e8426477e4e276494f4b1358ccc89bcb7bc1884eacf0faee
+d2 18  4  4 10  8  4   1 1 3 0   0   e0a035091f6b0c3d177f92b318833918d3af18ca654f1b1cfeb262a115926116
+d3 20  5  6 10  8  5 100 1 3 0   1   8e07319bf1bfa165bd8903ecb6b82edc57cc23b9abe2ec43769435b445b53374
+d1 22  6  9 10  8  6   1 1 3 1   0   f46a9349d8e5d805354974abfed6892cf48d718cbcd842ccc1ee2e57bd928848
+d2 24  7  3 10  8  7 100 1 3 1   1   045d0fbe5dc5c716dc408ed984c7231d94157592be02059bd8bf559e33d2b2e0
+d3 18  8  4 10  8  8   1 3 0 0   0   163d48ac732946f5b7f5d1f9ed9fad6abdbe9d97527a95d921fd40e89a6255b5
+d1 20  9  6 10  8  9 100 3 0 0   1   571b673604ab5cda68fab7ce4a6626f6887c0b1da306ac5b85363f9d92d3b633
+d2 22 10  9 10  8 10   1 3 0 1   0   7098fc77c76f7353404d2f1cdc39add733a6c4cf924a14cba22e6ff03d0e22a9
+d3 24 11  3 10  8 11 100 3 0 1   1   84d812f79d3ce30d07379c70ddc40629750e1d7b4b84b18ed744b4cf05379aa1
+d1 18 12  4 10  8 12   1 3 3 0   0   4cedc705f59acd833bf7e477acdcc3d3f4ada53247a0e869d2845e83465e4ea5
+d2 20 13  6 10  8 13 100 3 3 0   1   3c113a0532435078b0bd51592d3814292ed8e34834a8d9263f44c53525e8b298
+d3 22 14  9 10  8 14   1 3 3 1   0   3415d9d5617dd8b89f7c69f5c1e911e2994adafbc0d38985ac56436f0efb0ee2
+d1 24 15  3 10  8 15 100 3 3 1   1   ec7c6f954e74782a68c77fe0b552692f4e3791daae77ab86d58d8a24eaf014b7
+d1  2  0  1  6  5  0   1 1 0 1   1   e24cb219f311f1d7eeaef74d0d02f5c7ce1bfa682ec73b52ebc5304178516179
+d2  2  1  2  6  5  1   1 3 3 1   0.5 bbe1b72092a49702149bf0b02da3dea72abf7d5551e54ba33121808eb5646875
+d3  2  2  2  4  6  2 100 2 0 1   1   f421ffc25ef78e48c5450b7b054f73985e45e8708b5f3232b7595358eff7944e
+d3  2  3  2  5  6  3   1 1 1 0.5 0   7fc1447976c1390f7131f5497ad0ecbd54adf8295b475e18f11ebf39879dcc3b
+d2  2  4  1  3  4  4   1 3 2 0.5 0.5 90c48576c53c86f3e83c1ca482b01e71bd41e297a0bda2a62446d208aeae90e1
+d1 12  5  3  2  6  5   1 3 1 0.7 0.3 bc32d5420ca3c81de66343005e538f4c7c7af9c1c700f6441e759094b145a73d
+d2 16  6  5  9  7  6 100 2 0 0.3 0.8 cd9b42354012cf08937a459d61cb167fff2f888dec0217ac3b3982a30f445517
+"""
+
+
+def test_genetic_algorithm_reproduces_golden_draws_across_params():
+    rows = GOLDEN_GA_PARAMS.strip().splitlines()
+    assert len(rows) == 23
+    for line in rows:
+        (preset, n, data_seed, teams, pop, gens, seed, delta, tournament,
+         elite, mutation, crossover, digest) = line.split()
+        params = GAParams(population_size=int(pop), generations=int(gens),
+                          mutation_prob=float(mutation),
+                          crossover_prob=float(crossover),
+                          tournament_size=int(tournament),
+                          elite_count=int(elite))
+        rng = np.random.default_rng(int(seed))
+        got = _ga_hash(preset, n, data_seed, teams, delta, params, rng)
+        got.update(json.dumps(rng.bit_generator.state,
+                              sort_keys=True).encode())
+        assert got.hexdigest() == digest, line

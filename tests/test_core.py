@@ -323,6 +323,34 @@ class TestObjectiveBatch:
             want = np.array([one.x, one.y, one.z, one.f])
             assert got[p].tobytes() == want.tobytes(), (p, got[p], want)
 
+    def test_wide_rows_match_objective_bit_for_bit(self):
+        # N >= 256 stores compacted labels as uint16 inside the kernel; the
+        # rows reach team ids past 255 with teammates in those teams, where
+        # a uint8 copy would wrap onto teams 0.. and merge them.
+        rng = np.random.default_rng(14)
+        for n in (256, 300):
+            inst = make_random_instance(rng, n=n, k=2, m=3)
+            spec = make_random_spec(rng, inst.k)
+            b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+            crowded = np.concatenate([np.arange(n - 30),
+                                      rng.integers(0, n - 30, 30)])
+            labels = np.stack([
+                rng.permutation(crowded),
+                rng.permutation(crowded) * 7919 - 50,  # sparse, negative
+                rng.permutation(n),                    # all singletons
+                rng.integers(0, 40, n),
+                rng.integers(0, 2, n) * 100_000,
+            ])
+            batch = objective_batch(inst, spec, b, labels)
+            got = np.stack([batch.x, batch.y, batch.z, batch.f], axis=1)
+            for p, row in enumerate(labels):
+                assignment = compact_assignment(row)
+                one = objective(inst, spec, assignment, b=b)
+                want = np.array([one.x, one.y, one.z, one.f])
+                assert got[p].tobytes() == want.tobytes(), (n, p)
+                ind = individual_benefits(b, assignment)
+                assert ind.tolist() == oracle.individual_benefits(b, row)
+
 
 class TestObjectiveInvariants:
     def test_student_permutation_invariance(self):
