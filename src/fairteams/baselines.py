@@ -29,6 +29,13 @@ def uniform_kmeans(instance: Instance, team_count: int,
     minus nearest), ties toward the lower index. Teams are then filled
     round-robin, one student per cluster per sweep, with a cursor that
     carries across clusters so team sizes also stay within one.
+
+    Clustering runs at most 100 iterations and stops early once the
+    centroids move less than 1e-6 and the labels repeat. It also stops
+    when the centroid bytes and previous labels an iteration starts from
+    match an earlier iteration's exactly: the run is then in a cycle that
+    never converges, and the labels the 100th iteration would produce are
+    read from the cycle.
     """
     n = instance.n
     if not 1 <= team_count <= n:
@@ -41,8 +48,19 @@ def uniform_kmeans(instance: Instance, team_count: int,
 
     skills = instance.skills
     centroids = skills[rng.choice(n, size=n_clusters, replace=False)].copy()
+    seats = [cap] * n_full + [cap - 1] * (n_clusters - n_full)
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(100):
+    # an iteration's outcome depends only on the centroids it starts from
+    # and the labels before it, so a repeated state is a cycle
+    seen: dict[bytes, int] = {}
+    history = []
+    for it in range(100):
+        state = centroids.tobytes() + labels.tobytes()
+        if state in seen:
+            first = seen[state]  # the labels iteration 99 would produce
+            labels = history[first + (99 - first) % (it - first)]
+            break
+        seen[state] = it
         dists = np.linalg.norm(skills[:, None, :] - centroids[None], axis=2)
         order = np.argsort(dists, axis=1)
         nearest = dists[np.arange(n), order[:, 0]]
@@ -52,16 +70,17 @@ def uniform_kmeans(instance: Instance, team_count: int,
             gap = nearest
         # larger gap = more to lose from a detour, so it claims a seat first
         priority = np.lexsort((np.arange(n), -gap))
-        new_labels = np.full(n, -1, dtype=np.int64)
-        counts = np.zeros(n_clusters, dtype=np.int64)
-        caps = np.full(n_clusters, cap, dtype=np.int64)
-        caps[n_full:] = cap - 1
-        for i in priority:
-            for c in order[i]:
-                if counts[c] < caps[c]:
-                    new_labels[i] = c
-                    counts[c] += 1
+        free = seats.copy()
+        seat_of = [0] * n
+        prefs = order.tolist()
+        for i in priority.tolist():
+            for c in prefs[i]:
+                if free[c]:
+                    free[c] -= 1
+                    seat_of[i] = c
                     break
+        new_labels = np.array(seat_of, dtype=np.int64)
+        history.append(new_labels)
         shift = 0.0
         for c in range(n_clusters):
             members = skills[new_labels == c]

@@ -20,7 +20,8 @@ import time
 import numpy as np
 
 from .baselines import GAParams
-from .core import Assignment, Instance, TaskSpec, compact_assignment
+from .core import (Assignment, Instance, TaskSpec, compact_assignment,
+                   compute_benefit_matrix)
 from .datagen import (PRESETS, generate_dataset, load_instance,
                       preset_config, save_roster)
 from .errors import ValidationError
@@ -237,16 +238,17 @@ def _cmd_solve(args) -> int:
     spec = _build_task_spec(instance.k, opts)
     refine_config = RefineConfig(gain_epsilon=opts["gain_epsilon"])
     start = time.perf_counter()
+    b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     assignment = solve_instance(instance, spec, opts["method"],
                                 seed=opts["seed"],
                                 team_count=opts["team_count"],
-                                refine_config=refine_config)
+                                refine_config=refine_config, b=b)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     write_assignment(instance, assignment, opts["assignment_out"])
     record = evaluate_solution(instance, spec, assignment,
                                dataset=roster_label(opts["roster"]),
                                method=opts["method"], seed=opts["seed"],
-                               runtime_ms=elapsed_ms)
+                               runtime_ms=elapsed_ms, b=b)
     sys.stdout.write(metrics_csv_text([record]))
     return 0
 

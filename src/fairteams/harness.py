@@ -70,11 +70,17 @@ class ExperimentResult:
 def evaluate_solution(instance: Instance, spec: TaskSpec,
                       assignment: Assignment, dataset: str = "",
                       method: str = "", seed: int | str = 0,
-                      runtime_ms: float = 0.0) -> MetricsRecord:
-    """Score one assignment; the objective value matches core.objective."""
+                      runtime_ms: float = 0.0,
+                      b: np.ndarray | None = None) -> MetricsRecord:
+    """Score one assignment; the objective value matches core.objective.
+
+    b, when given, must be the benefit matrix for (instance,
+    spec.benefit_epsilon).
+    """
     if assignment.n != instance.n:
         raise ValidationError("assignment size does not match the roster")
-    b = compute_benefit_matrix(instance, spec.benefit_epsilon)
+    if b is None:
+        b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     breakdown = objective(instance, spec, assignment, b=b)
     sums = team_skill_sums(instance, assignment)
     met = np.all(sums >= spec.requirements, axis=1)
@@ -92,34 +98,45 @@ def evaluate_solution(instance: Instance, spec: TaskSpec,
 def solve_instance(instance: Instance, spec: TaskSpec, method: str,
                    seed=0, team_count: int | None = None,
                    refine_config: RefineConfig | None = None,
-                   ga_params: GAParams | None = None) -> Assignment:
+                   ga_params: GAParams | None = None,
+                   b: np.ndarray | None = None) -> Assignment:
     """Run one method end to end, including any prerequisite sizing run.
 
     Team counts when not overridden: random and umeans use the count a
     plain constructive run produces; ga uses the count of the full
-    construct-plus-refine pipeline.
+    construct-plus-refine pipeline. b, when given, must be the benefit
+    matrix for (instance, spec.benefit_epsilon).
     """
     if method not in METHODS:
         raise ValidationError(
             f"unknown method {method!r}; expected one of {METHODS}")
-    b = compute_benefit_matrix(instance, spec.benefit_epsilon)
+    if b is None:
+        b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     if method == "gmbf":
         return gmbf(instance, spec, b)
     if method == "fern":
         return fmhc(instance, spec, b, gmbf(instance, spec, b),
                     config=refine_config)
     if team_count is None:
-        if method == "ga":
-            team_count = fmhc(instance, spec, b, gmbf(instance, spec, b),
-                              config=refine_config).n_teams
-        else:
-            team_count = gmbf(instance, spec, b).n_teams
+        team_count = _sizing_team_count(instance, spec, b, method,
+                                        refine_config)
     if method == "random":
         return random_init(instance.n, team_count, rng=seed)
     if method == "umeans":
         return uniform_kmeans(instance, team_count, rng=seed)
     return genetic_algorithm(instance, spec, b, team_count,
                              params=ga_params, rng=seed)
+
+
+def _sizing_team_count(instance: Instance, spec: TaskSpec, b: np.ndarray,
+                       method: str,
+                       refine_config: RefineConfig | None) -> int:
+    """Team count of the sizing run for a stochastic method: the full
+    pipeline's for ga, the constructive run's otherwise."""
+    start = gmbf(instance, spec, b)
+    if method == "ga":
+        return fmhc(instance, spec, b, start, config=refine_config).n_teams
+    return start.n_teams
 
 
 @dataclass(frozen=True)
@@ -220,18 +237,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     records: list[MetricsRecord] = []
     failures: list[RunFailure] = []
+    if fixed_instance is not None:
+        instance = fixed_instance
+        b, b_ms = _timed(compute_benefit_matrix, instance,
+                         spec.benefit_epsilon)
     for seed in config.seeds:
-        if fixed_instance is not None:
-            instance = fixed_instance
-        else:
+        if fixed_instance is None:
             instance = generate_dataset(
                 preset_config(config.preset, config.n_students,
                               skill_dims=config.skill_dims,
                               n_groups=config.n_groups), seed=seed)
+            b, b_ms = _timed(compute_benefit_matrix, instance,
+                             spec.benefit_epsilon)
         for method in config.methods:
             try:
-                records.append(_run_cell(config, spec, instance, method,
-                                         seed))
+                records.append(_run_cell(config, spec, instance, b, b_ms,
+                                         method, seed))
             except (ValidationError, ValueError, ArithmeticError) as exc:
                 failures.append(RunFailure(config.label, method, seed,
                                            f"{type(exc).__name__}: {exc}"))
@@ -246,29 +267,47 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             tuple(failures))
 
 
-def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
-              method: str, seed: int) -> MetricsRecord:
-    """One (method, seed) row; stochastic methods average reps sub-runs."""
-    if method in _STOCHASTIC_SALT:
-        sub_rows = []
-        for rep in range(config.reps):
-            rng = derive_rng(seed, _STOCHASTIC_SALT[method], rep)
-            sub_rows.append(_timed_run(config, spec, instance, method,
-                                       seed, rng))
-        return _mean_record(sub_rows, seed)
-    return _timed_run(config, spec, instance, method, seed, seed)
-
-
-def _timed_run(config, spec, instance, method, seed, rng) -> MetricsRecord:
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in milliseconds."""
     start = time.perf_counter()
-    assignment = solve_instance(instance, spec, method, seed=rng,
-                                team_count=config.team_count,
-                                refine_config=config.refine_config,
-                                ga_params=config.ga_params)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - start) * 1e3
+
+
+def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
+              b: np.ndarray, setup_ms: float, method: str,
+              seed: int) -> MetricsRecord:
+    """One (method, seed) row; stochastic methods average reps sub-runs.
+
+    A stochastic method's sizing run is done once per cell. Its time and
+    setup_ms (the benefit matrix build) are added to every sub-run's
+    runtime_ms, so that it matches a standalone solve.
+    """
+    if method not in _STOCHASTIC_SALT:
+        return _timed_run(config, spec, instance, b, method, seed, seed,
+                          config.team_count, setup_ms)
+    team_count = config.team_count
+    if team_count is None:
+        team_count, sizing_ms = _timed(_sizing_team_count, instance, spec,
+                                       b, method, config.refine_config)
+        setup_ms += sizing_ms
+    sub_rows = [
+        _timed_run(config, spec, instance, b, method, seed,
+                   derive_rng(seed, _STOCHASTIC_SALT[method], rep),
+                   team_count, setup_ms)
+        for rep in range(config.reps)]
+    return _mean_record(sub_rows, seed)
+
+
+def _timed_run(config, spec, instance, b, method, seed, rng, team_count,
+               setup_ms) -> MetricsRecord:
+    assignment, solve_ms = _timed(
+        solve_instance, instance, spec, method, seed=rng,
+        team_count=team_count, refine_config=config.refine_config,
+        ga_params=config.ga_params, b=b)
     return evaluate_solution(instance, spec, assignment,
                              dataset=config.label, method=method, seed=seed,
-                             runtime_ms=elapsed_ms)
+                             runtime_ms=setup_ms + solve_ms, b=b)
 
 
 def _format_cell(value) -> str:

@@ -10,8 +10,9 @@ import oracle
 from fairteams.core import TaskSpec, compute_benefit_matrix, make_instance
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
-from fairteams.initial import random_init
+from fairteams.initial import gmbf, random_init
 from fairteams.baselines import GAParams, genetic_algorithm, uniform_kmeans
+from fairteams.rng import derive_rng
 from helpers import make_random_instance
 
 
@@ -85,6 +86,74 @@ class TestUniformKmeans:
             uniform_kmeans(inst, 0)
         with pytest.raises(ValidationError):
             uniform_kmeans(inst, 6)
+
+
+def _team_bytes(assignment):
+    return np.ascontiguousarray(assignment.team_of, dtype="<i8").tobytes()
+
+
+# sha256 of the little-endian int64 team_of that uniform_kmeans returns,
+# recorded before the cycle stop and the list-based seat loop. Columns: n,
+# skill count k, team count L, seed, tied (skills rounded to thirds). The
+# cluster count C = ceil(n / L) divides n in rows such as n=24, L=6 and not
+# in rows such as n=26, L=6; L = 1 and L = n have rows of their own.
+GOLDEN_KMEANS = """
+24 2  6  0 0 2e03d2858f9745dd9fc4d202d77acd67fe6237877b4876a311e10f71c85b965f
+24 2  6  1 0 84c5c6a4bab95fa563d6ff0b44b3bf55970b787e57321507ec4c0d08590fd850
+24 1  6  2 0 cf04f3b817777342a0f06e4cd22d72b6cc17e63856c813ed34d911bb926ae0e4
+24 3  6  3 1 5691b8db464e1ad54622ec0d4c6277749f9f125eec9bf8682911c34c08e11549
+26 2  6  4 0 2906023fb9741060310ffa19f68977dd5f5559b5d86f4a5c69d199d8c1df1fa8
+26 1  6  5 1 f72f15d4b061319a75d0838bd88a6739e3527fb3fb4025074578f03e0ad6c190
+26 3  6  6 0 175fa311cad04fb07ce63475be5c8648183ea83b944e041a3a7d320a25ecb583
+31 2  7  7 1 8d76482f1b0fa1020966b0bce58f88973c065588904b5a07c446f01465555c38
+12 2  1  8 0 2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4
+12 3  1  9 1 2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4
+12 1 12 10 0 700a4498438a801b5781533040bce85a20ae4bfe08866f7552ff33e172923b0a
+12 2 12 11 1 700a4498438a801b5781533040bce85a20ae4bfe08866f7552ff33e172923b0a
+40 1  3 12 1 ad826f133d50037cff56e2726f6926ebb078df1c80c53a1d1c486675f7160d5b
+40 2  9 13 1 8ca7f97c9e2afcadaf291146aed11853223e4799d68f2a4d45a72578deb605ef
+40 3 13 14 1 56646bdb119f281a6a277c5203c6635d4a6e552f4020adad2b51b2f80e4b7201
+45 2  4 15 0 328c5c6e0306b58d6330c6a87a1d30f00a26d3c36d5b9bcbcba0ebb80494851b
+60 2 14 16 0 96c8db08c6ae81d52c531ae799b05a2662a1a2c52ea78ad3186012ffb17c6ecc
+60 1 20 17 1 d3c239171880a726cc1d4345a409749e7576ff5768816f78956e21b4a314c4c6
+ 2 1  1 18 0 374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb
+ 2 2  2 19 1 9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db
+"""
+
+
+def test_uniform_kmeans_reproduces_golden_assignments():
+    rows = GOLDEN_KMEANS.strip().splitlines()
+    assert len(rows) == 20
+    for line in rows:
+        *params, digest = line.split()
+        n, k, teams, seed, tied = (int(v) for v in params)
+        rng = np.random.default_rng([n, k, teams, seed])
+        skills = rng.random((n, k))
+        if tied:
+            skills = np.round(skills * 3) / 3
+        inst = make_instance(skills, np.arange(n) % 2)
+        got = hashlib.sha256(_team_bytes(uniform_kmeans(inst, teams,
+                                                        rng=seed)))
+        assert got.hexdigest() == digest, line
+
+
+# One digest over the 200 uniform_kmeans calls of an experiment grid (preset
+# d2, n=60, seeds 0..19, ten reps each, team count from gmbf), in order.
+# 46 of these calls cycle without converging, so they exercise the
+# exact-cycle stop. Recorded before the cycle stop existed.
+GOLDEN_KMEANS_GRID = "7056b8126a2d2a84a8f8e3d20fe46bb6589c799d3a5d70d766ce239049bfef03"
+
+
+def test_uniform_kmeans_reproduces_golden_grid_calls():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        inst = generate_dataset(preset_config("d2", 60), seed=seed)
+        spec = TaskSpec(requirements=[2.0, 2.0])
+        teams = gmbf(inst, spec, compute_benefit_matrix(inst, 0.0)).n_teams
+        for rep in range(10):
+            digest.update(_team_bytes(uniform_kmeans(
+                inst, teams, rng=derive_rng(seed, 2, rep))))
+    assert digest.hexdigest() == GOLDEN_KMEANS_GRID
 
 
 class TestGAParams:

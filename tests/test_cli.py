@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from fairteams import cli, core, harness
 from fairteams.cli import main
 
 QUAD_ROSTER = """student_id,group,skill_1
@@ -109,6 +110,24 @@ class TestSolve:
         capsys.readouterr()
         assert (tmp_path / "a.csv").read_bytes() \
             == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["fern", "umeans"])
+    def test_benefit_matrix_built_once(self, tmp_path, capsys, monkeypatch,
+                                       method):
+        roster = self._roster(tmp_path)
+        calls = []
+        original = core.compute_benefit_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (cli, core, harness):
+            monkeypatch.setattr(module, "compute_benefit_matrix", counted)
+        assert main(["solve", "--roster", roster, "--method", method,
+                     "--assignment-out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_missing_roster_flag(self, capsys):
         assert main(["solve"]) == 1

@@ -1,11 +1,14 @@
 """Harness tests: metrics, experiment batches, CSV determinism."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from fairteams import core, harness
+from fairteams.baselines import GAParams
 from fairteams.core import Assignment, TaskSpec, make_instance, objective
 from fairteams.datagen import generate_dataset, preset_config, save_roster
 from fairteams.errors import ValidationError
@@ -240,6 +243,87 @@ class TestRunExperiment:
         assert mean_y["gmbf"] > mean_y["random"] + 15.0
         assert mean_y["ga"] > mean_y["random"] + 15.0
         assert abs(mean_y["random"] - mean_y["umeans"]) < 10.0
+
+
+def _csv_digest(result) -> str:
+    text = metrics_csv_text(result.records, aggregates=result.aggregates)
+    return hashlib.sha256(_mask_runtime(text).encode()).hexdigest()
+
+
+_ALL_METHODS = ("fern", "gmbf", "random", "umeans", "ga")
+_SMALL_GA = GAParams(population_size=10, generations=5)
+
+# sha256 of the metrics CSV with the runtime_ms column masked, recorded
+# while every sub-run still rebuilt the benefit matrix and reran its sizing
+# solve.
+GOLDEN_PRESET_CSV = "397cf66ac541f6f8139ce310a28587ee4f315dac7a809e6590fc136ba13c3349"
+GOLDEN_ROSTER_CSV = "260390c8b4701ba87990525ef64814d4cc0c9c04368cf173ce20f1000a541ff0"
+
+
+def _roster_config(tmp_path):
+    path = tmp_path / "class.csv"
+    save_roster(generate_dataset(preset_config("d3", 20), seed=5), path)
+    return ExperimentConfig(seeds=(3, 4), methods=_ALL_METHODS, preset=None,
+                            roster=str(path), reps=3, ga_params=_SMALL_GA)
+
+
+def _preset_config(**kw):
+    defaults = dict(seeds=(0, 1), methods=_ALL_METHODS, preset="d2",
+                    n_students=24, reps=3, ga_params=_SMALL_GA)
+    defaults.update(kw)
+    return ExperimentConfig(**defaults)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name with a call counter; returns the one-item count."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestExperimentWork:
+    def test_preset_grid_reproduces_golden_csv(self):
+        assert _csv_digest(run_experiment(_preset_config())) \
+            == GOLDEN_PRESET_CSV
+
+    def test_roster_grid_reproduces_golden_csv(self, tmp_path):
+        assert _csv_digest(run_experiment(_roster_config(tmp_path))) \
+            == GOLDEN_ROSTER_CSV
+
+    def test_benefit_matrix_built_once_per_instance(self, monkeypatch,
+                                                    tmp_path):
+        calls = [_count_calls(monkeypatch, module, "compute_benefit_matrix")
+                 for module in (harness, core)]
+        result = run_experiment(_preset_config(seeds=(0, 1, 2)))
+        assert not result.failures
+        assert [c[0] for c in calls] == [3, 0]
+        calls[0][0] = 0
+        result = run_experiment(_roster_config(tmp_path))
+        assert not result.failures
+        assert [c[0] for c in calls] == [1, 0]
+
+    @pytest.mark.parametrize("method", ["random", "umeans", "ga"])
+    def test_sizing_runs_once_per_stochastic_cell(self, monkeypatch,
+                                                  method):
+        gmbf_calls = _count_calls(monkeypatch, harness, "gmbf")
+        fmhc_calls = _count_calls(monkeypatch, harness, "fmhc")
+        result = run_experiment(_preset_config(methods=(method,), reps=4))
+        assert not result.failures
+        assert gmbf_calls[0] == 2
+        assert fmhc_calls[0] == (2 if method == "ga" else 0)
+
+    def test_team_count_override_skips_sizing(self, monkeypatch):
+        gmbf_calls = _count_calls(monkeypatch, harness, "gmbf")
+        result = run_experiment(_preset_config(
+            methods=("random", "umeans", "ga"), team_count=4))
+        assert not result.failures
+        assert gmbf_calls[0] == 0
 
 
 class TestMetricsCsv:
