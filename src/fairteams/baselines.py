@@ -138,9 +138,9 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
 
     Chromosome: one team id per student. Uniform crossover per gene,
     mutation swaps the teams of two distinct students, tournament selection
-    (first minimum wins ties), elitism keeps the best chromosome(s)
-    verbatim. Fitness compacts empty team ids before evaluating, so extinct
-    teams shrink the divisor rather than padding it.
+    (first minimum wins ties), elitism keeps the best chromosome(s) and
+    their fitness (a row scores alike in any batch). Fitness compacts empty
+    team ids, so extinct teams shrink the divisor rather than padding it.
 
     Per child, in order, the generator draws integers(0, P, size=2t) for
     both tournaments, random(n + 1) for the crossover coins and then the
@@ -179,7 +179,8 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
             children[rows, bpos], children[rows, a]
         elite_idx = np.argsort(fits, kind="stable")[:params.elite_count]
         pop = np.concatenate((pop[elite_idx], children))
-        fits = objective_batch(instance, spec, b, pop).f
+        fits = np.concatenate(
+            (fits[elite_idx], objective_batch(instance, spec, b, children).f))
 
     best = int(np.argmin(fits))
     return compact_assignment(pop[best])

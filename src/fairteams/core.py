@@ -16,7 +16,7 @@ scale) at the harness layer only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,15 +159,24 @@ class Assignment:
 
 def _compact_rows(labels) -> tuple[np.ndarray, np.ndarray]:
     """Each row of labels (P, N) renumbered densely in ascending label
-    order, plus the team count of each row."""
+    order, by a running count over a table of the offsets from the row's
+    minimum, plus the team count of each row."""
     labels = np.asarray(labels, dtype=np.int64)
-    order = np.argsort(labels, axis=1, kind="stable")
-    ranked = np.take_along_axis(labels, order, axis=1)
-    rank = np.zeros(labels.shape, dtype=np.int64)
-    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
-    team_of = np.empty_like(rank)
-    np.put_along_axis(team_of, order, rank, axis=1)
-    return team_of, rank.max(axis=1, initial=-1) + 1
+    n_rows, n = labels.shape
+    # int64 offsets wrap past 2**63, but their uint64 view stays exact
+    offset = labels - labels.min(axis=1, keepdims=True, initial=2**63 - 1)
+    if offset.view(np.uint64).max(initial=0) > n:
+        # too wide for the table: rank values, then (row, value) pairs
+        keys = np.unique(labels, return_inverse=True)[1].reshape(n_rows, n)
+        keys += labels.size * np.arange(n_rows)[:, None]
+        offset = np.unique(keys, return_inverse=True)[1].reshape(n_rows, n)
+        offset -= offset.min(axis=1, keepdims=True)
+    width = int(offset.max(initial=0)) + 1
+    cell = offset + np.arange(0, n_rows * width, width)[:, None]
+    present = np.zeros((n_rows, width), dtype=np.int64)
+    present.put(cell, 1)
+    present.cumsum(axis=1, out=present)
+    return present.take(cell) - 1, present[:, -1]
 
 
 def compact_assignment(labels) -> Assignment:
@@ -176,19 +185,22 @@ def compact_assignment(labels) -> Assignment:
     Empty label values disappear; surviving labels are renumbered densely in
     ascending label order, so the result is deterministic.
     """
-    team_of, _ = _compact_rows(np.reshape(labels, (1, -1)))
-    return Assignment(team_of[0])
+    return Assignment(_compact_rows(np.reshape(labels, (1, -1)))[0][0])
 
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """Objective terms: floats from objective(), (P,) arrays from
-    objective_batch()."""
+    """Objective terms, floats from objective() and (P,) arrays from
+    objective_batch(), with the team skill sums, (L, k) or (P, L, k) with L
+    the batch's largest team count, and (m,) or (P, m) group benefits."""
 
     x: float
     y: float
     z: float
     f: float
+    team_sums: np.ndarray = field(default=None, repr=False, compare=False)
+    group_benefits: np.ndarray = field(default=None, repr=False,
+                                       compare=False)
 
 
 def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
@@ -206,8 +218,8 @@ def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
     return b.astype(np.int8)
 
 
-# Byte budget for objective_batch's (rows, N, N) co-membership mask; the
-# labelings are scored in blocks of rows that fit it (at least one row).
+# Byte budget for a block of objective_batch rows: their (team, word) masks
+# plus the words gathered per student (a block has at least one row).
 _COMEMBER_BYTES = 1 << 18
 
 
@@ -215,28 +227,36 @@ def _team_sums(skills: np.ndarray, team_of: np.ndarray,
                width: int) -> np.ndarray:
     """(P, width, k) skill totals, added in student order."""
     n_rows, k = team_of.shape[0], skills.shape[1]
-    teams = team_of + width * np.arange(n_rows)[:, None]
-    bins = (teams[:, :, None] * k + np.arange(k)).ravel()
-    weights = np.broadcast_to(skills, (n_rows,) + skills.shape).ravel()
-    sums = np.bincount(bins, weights=weights, minlength=n_rows * width * k)
-    return sums.reshape(n_rows, width, k)
+    teams = (team_of + width * np.arange(n_rows)[:, None]).ravel()
+    sums = [np.bincount(teams, weights=column, minlength=n_rows * width)
+            for column in np.tile(skills.T, n_rows)]
+    return np.stack(sums, axis=1).reshape(n_rows, width, k)
 
 
 def _individual_benefits(b: np.ndarray, team_of: np.ndarray) -> np.ndarray:
-    """(P, N) fraction of teammates each student benefits from."""
+    """(P, N) fraction of teammates each student benefits from, by popcount
+    of their row of b AND their team, both bit sets of 64-bit words."""
     n_rows, n = team_of.shape
-    teams = team_of + n * np.arange(n_rows)[:, None]  # labels are below n
-    mates = np.bincount(teams.ravel(), minlength=n_rows * n)[teams] - 1
-    benefits = np.asarray(b, dtype=bool)
-    narrow = team_of.astype(np.min_scalar_type(n))  # cheaper to compare
-    own = np.empty((n_rows, n), dtype=np.int64)
-    step = max(1, _COMEMBER_BYTES // (n * n))
+    words, width = -(-n // 64), int(team_of.max()) + 1
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(b, axis=1, bitorder="little")
+    rows = packed.view("<u8").T  # (words, N)
+    step = min(n_rows, max(1, _COMEMBER_BYTES // (8 * words * (width + n))))
+    slots = step * width  # one (row, team) mask per slot, in every word
+    row_base = np.arange(0, slots, width)[:, None]
+    word_base = np.arange(n) // 64 * slots
+    bits = np.tile(np.left_shift(1, np.arange(n, dtype=np.uint64) % 64), step)
+    out = np.zeros((n_rows, n))
     for lo in range(0, n_rows, step):
-        block = narrow[lo:lo + step]
-        mask = block[:, :, None] == block[:, None, :]
-        mask &= benefits
-        own[lo:lo + step] = np.count_nonzero(mask, axis=2)
-    return np.where(mates > 0, own / np.maximum(mates, 1), 0.0)
+        team = team_of[lo:lo + step] + row_base[:n_rows - lo]
+        masks = np.zeros(words * slots, dtype=np.uint64)
+        # distinct bits add as OR; 1-d, as add.at misreads broadcast values
+        np.add.at(masks, (team + word_base).ravel(), bits[:team.size])
+        mine = masks.reshape(words, slots).take(team, axis=1) & rows[:, None]
+        mates = np.bincount(team.ravel(), minlength=slots).take(team) - 1
+        np.divide(np.bitwise_count(mine).sum(axis=0), mates,
+                  out=out[lo:lo + step], where=mates > 0)
+    return out
 
 
 def _group_benefits(ind: np.ndarray, instance: Instance) -> np.ndarray:
@@ -271,25 +291,27 @@ def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
 
     Each row is scored as compact_assignment(row) would be: empty labels
     drop out of the team count. The fields of the result are (P,) arrays,
-    and row p matches objective() on that assignment bit for bit. b must be
-    the 0/1 benefit matrix for (instance, spec.benefit_epsilon).
+    and row p matches objective() on that assignment bit for bit, whatever
+    else is in the batch. b must be the 0/1 benefit matrix for (instance,
+    spec.benefit_epsilon).
     """
     team_of, n_teams = _compact_rows(labels)
-    k = instance.k
-    sums = _team_sums(instance.skills, team_of, int(n_teams.max()))
-    squares = np.clip(spec.requirements - sums, 0.0, None) ** 2
+    width, k = int(n_teams.max()), instance.k
+    sums = _team_sums(instance.skills, team_of, width)
+    squares = np.maximum(spec.requirements - sums, 0.0) ** 2
     x = np.empty(n_teams.shape)
-    for count in np.unique(n_teams):
+    for count in set(n_teams.tolist()):
         rows = n_teams == count
         # exactly L * k terms per row: padding would regroup numpy's
         # pairwise sum and change the last bits
         flat = squares[rows, :count].reshape(-1, count * k)
         x[rows] = flat.sum(axis=1) / (count * k)
     ind = _individual_benefits(b, team_of)
-    y = ind.mean(axis=1)
-    z = _group_benefits(ind, instance).var(axis=1)
+    gben = _group_benefits(ind, instance)
+    y, z = ind.mean(axis=1), gben.var(axis=1)
     return ObjectiveBreakdown(x=x, y=y, z=z,
-                              f=x - spec.gamma * y + spec.delta * z)
+                              f=x - spec.gamma * y + spec.delta * z,
+                              team_sums=sums, group_benefits=gben)
 
 
 def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,
@@ -302,5 +324,6 @@ def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,
     if b is None:
         b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     batch = objective_batch(instance, spec, b, assignment.team_of[None])
-    return ObjectiveBreakdown(x=float(batch.x[0]), y=float(batch.y[0]),
-                              z=float(batch.z[0]), f=float(batch.f[0]))
+    x, y, z, f = (float(t[0]) for t in (batch.x, batch.y, batch.z, batch.f))
+    return ObjectiveBreakdown(x, y, z, f, team_sums=batch.team_sums[0],
+                              group_benefits=batch.group_benefits[0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import GAParams, genetic_algorithm, uniform_kmeans
 from .core import (Assignment, Instance, TaskSpec, compute_benefit_matrix,
-                   group_benefits, objective, team_skill_sums)
+                   objective)
 from .datagen import generate_dataset, load_instance, preset_config
 from .errors import ValidationError
 from .initial import gmbf, random_init
@@ -79,12 +79,8 @@ def evaluate_solution(instance: Instance, spec: TaskSpec,
     """
     if assignment.n != instance.n:
         raise ValidationError("assignment size does not match the roster")
-    if b is None:
-        b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     breakdown = objective(instance, spec, assignment, b=b)
-    sums = team_skill_sums(instance, assignment)
-    met = np.all(sums >= spec.requirements, axis=1)
-    gben = group_benefits(b, assignment, instance)
+    met = np.all(breakdown.team_sums >= spec.requirements, axis=1)
     return MetricsRecord(
         dataset=dataset, method=method, seed=seed,
         n=instance.n, l_final=assignment.n_teams,
@@ -92,7 +88,7 @@ def evaluate_solution(instance: Instance, spec: TaskSpec,
         y_pct=100.0 * breakdown.y, z_pct=1e4 * breakdown.z,
         objective=breakdown.f, runtime_ms=runtime_ms,
         group_labels=instance.group_labels,
-        gben_pct=tuple(100.0 * v for v in gben))
+        gben_pct=tuple(100.0 * v for v in breakdown.group_benefits))
 
 
 def solve_instance(instance: Instance, spec: TaskSpec, method: str,

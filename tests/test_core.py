@@ -1,11 +1,14 @@
 """Objective terms and domain types against the naive oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from fairteams import core
 from fairteams.core import (Assignment, TaskSpec, compact_assignment,
                             compute_benefit_matrix, group_benefits,
                             individual_benefits, make_instance, objective,
@@ -350,6 +353,75 @@ class TestObjectiveBatch:
                 assert got[p].tobytes() == want.tobytes(), (n, p)
                 ind = individual_benefits(b, assignment)
                 assert ind.tolist() == oracle.individual_benefits(b, row)
+
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_blocked_rows_match_objective_bit_for_bit(self, n):
+        # one, two and three 64-bit words per benefit row, on both sides of
+        # each word edge; a block holds at most _COMEMBER_BYTES // (8 * n)
+        # rows, so the batch spans at least three blocks
+        rng = np.random.default_rng(n)
+        inst = make_random_instance(rng, n=n, k=2, m=3)
+        spec = make_random_spec(rng, inst.k)
+        b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+        n_rows = 3 * (core._COMEMBER_BYTES // (8 * n)) + 1
+        labels = rng.integers(0, rng.integers(1, n + 1, (n_rows, 1)),
+                              (n_rows, n))
+        labels[0], labels[1] = 0, rng.permutation(n)  # one team; singletons
+        batch = objective_batch(inst, spec, b, labels)
+        got = np.stack([batch.x, batch.y, batch.z, batch.f], axis=1)
+        for p, row in enumerate(labels):
+            assignment = compact_assignment(row)
+            one = objective(inst, spec, assignment, b=b)
+            want = np.array([one.x, one.y, one.z, one.f])
+            assert got[p].tobytes() == want.tobytes(), (n, p)
+            if p < 12:
+                ind = individual_benefits(b, assignment)
+                assert ind.tolist() == oracle.individual_benefits(b, row)
+
+    def test_compaction_matches_unique_inverse(self):
+        rng = np.random.default_rng(16)
+        n = 40
+        big = np.iinfo(np.int64)
+        rows = np.stack([
+            rng.integers(-5, 5, n),                        # negative
+            rng.integers(0, 6, n) * 1_000_003 - 7,         # sparse
+            rng.choice([-2**62, 2**62, 0, -1], n),         # span 2**63
+            rng.choice([big.min, big.max, 0], n),          # span 2**64 - 1
+            rng.choice([0, n], n),                         # widest table
+            rng.choice([0, n + 1, 3], n),                  # squeezed
+            rng.integers(0, 3, n) * 6 * n,                 # span >= P * N
+        ])
+        inst = make_random_instance(rng, n=n, k=2, m=2)
+        spec = make_random_spec(rng, inst.k)
+        b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+        for batch in (rows, rows[2:], rows[4:]):
+            scored = objective_batch(inst, spec, b, batch)
+            for p, row in enumerate(batch):
+                dense = np.unique(row, return_inverse=True)[1].reshape(-1)
+                assert compact_assignment(row).team_of.tolist() == \
+                    dense.tolist()
+                one = objective(inst, spec, Assignment(dense), b=b)
+                assert scored.f[p].tobytes() == np.float64(one.f).tobytes()
+
+
+    def test_sparse_rows_keep_memory_linear(self):
+        # every row draws its labels from across the whole batch's values,
+        # so ranking the values alone would leave each row about P * N wide
+        # and the presence table P times larger than labels (over 400x)
+        rng = np.random.default_rng(17)
+        n, n_rows = 40, 400
+        inst = make_random_instance(rng, n=n, k=2, m=2)
+        spec = make_random_spec(rng, inst.k)
+        b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+        labels = rng.permutation(n_rows * n).reshape(n_rows, n) * 1000
+        tracemalloc.start()
+        try:
+            objective_batch(inst, spec, b, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * labels.nbytes
 
 
 class TestObjectiveInvariants:
