@@ -4,10 +4,11 @@ Subcommands: generate (synthetic roster), solve (one method on a roster),
 evaluate (score an existing assignment), experiment (methods x seeds batch
 with mean/standard-error rows).
 
-Every option can also come from a flat key=value config file passed with
---config; explicit command-line flags win over config values, which win
-over built-in defaults. Exit codes: 0 success, 1 validation error, 2 I/O
-error (argparse reports usage errors with its own nonzero exit).
+Each option is declared once, in _OPTS, and is both a flag and a key of
+the flat key=value config file passed with --config; explicit command-line
+flags win over config values, which win over built-in defaults. Exit
+codes: 0 success, 1 validation error, 2 I/O error (argparse reports usage
+errors with its own nonzero exit).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .core import (Assignment, Instance, TaskSpec, compact_assignment,
 from .datagen import (PRESETS, generate_dataset, load_instance,
                       preset_config, save_roster)
 from .errors import ValidationError
-from .harness import (METHODS, ExperimentConfig, evaluate_solution,
-                      metrics_csv_text, roster_label, run_experiment,
-                      solve_instance, write_metrics_csv)
+from .harness import (METHODS, ExperimentConfig, default_spec,
+                      evaluate_solution, metrics_csv_text, roster_label,
+                      run_experiment, solve_instance, write_metrics_csv)
 from .refine import RefineConfig
 
 
@@ -69,52 +70,64 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return methods
 
 
-# dest -> (converter, default); the config file uses the same keys
-_COMMON_SPEC_OPTS = {
-    "requirements": (_parse_requirements, None),
-    "gamma": (float, 1.0),
-    "delta": (float, 1.0),
-    "benefit_epsilon": (float, 0.0),
+# dest -> (converter, default, help). Each entry is both a --flag and a
+# config key; a default is written as a config value and converted like one.
+_SPEC_OPTS = {
+    "requirements": (_parse_requirements, None,
+                     "per-skill requirement sums; a single value is "
+                     "broadcast to every skill (default "
+                     f"{default_spec(1).requirements[0]:g} per skill)"),
+    "gamma": (float, "1", "weight of average benefit"),
+    "delta": (float, "1", "weight of group-benefit variance"),
+    "benefit_epsilon": (float, "0", "margin a teammate must exceed in some "
+                                    "skill to count as beneficial"),
+}
+_TEAM_COUNT = (int, None, "override the team count for random/umeans/ga")
+_GAIN_EPSILON = (float, "1e-4", "smallest pass gain the refiner commits")
+_SHAPE_OPTS = {
+    "n": (int, "100", "number of students"),
+    "skills": (int, "2", "skill dimensions"),
+    "groups": (int, "2", "number of protected groups"),
 }
 _OPTS = {
     "generate": {
-        "preset": (str, "d1"),
-        "n": (int, 100),
-        "skills": (int, 2),
-        "groups": (int, 2),
-        "seed": (int, 0),
-        "out": (str, "roster.csv"),
+        "preset": (str.lower, "d1", "difficulty preset"),
+        **_SHAPE_OPTS,
+        "seed": (int, "0", "generation seed"),
+        "out": (str, "roster.csv", "output roster path"),
     },
     "solve": {
-        **_COMMON_SPEC_OPTS,
-        "roster": (str, None),
-        "method": (str.lower, "fern"),
-        "seed": (int, 0),
-        "team_count": (int, None),
-        "gain_epsilon": (float, 1e-4),
-        "assignment_out": (str, "assignment.csv"),
+        "roster": (str, None, "input roster CSV"),
+        "method": (str.lower, "fern", "team-formation method"),
+        "seed": (int, "0", "seed for stochastic methods"),
+        "team_count": _TEAM_COUNT,
+        "gain_epsilon": _GAIN_EPSILON,
+        "assignment_out": (str, "assignment.csv", "output assignment path"),
+        **_SPEC_OPTS,
     },
     "evaluate": {
-        **_COMMON_SPEC_OPTS,
-        "roster": (str, None),
-        "assignment": (str, None),
-        "seed": (int, 0),
+        "roster": (str, None, "input roster CSV"),
+        "assignment": (str, None, "assignment CSV to score"),
+        "seed": (int, "0", "seed recorded in the metrics row"),
+        **_SPEC_OPTS,
     },
     "experiment": {
-        **_COMMON_SPEC_OPTS,
-        "preset": (str, None),
-        "roster": (str, None),
-        "methods": (_parse_methods, ("fern",)),
-        "seeds": (_parse_seeds, (0,)),
-        "reps": (int, 10),
-        "n": (int, 100),
-        "skills": (int, 2),
-        "groups": (int, 2),
-        "team_count": (int, None),
-        "gain_epsilon": (float, 1e-4),
-        "out": (str, "metrics.csv"),
+        "preset": (str.lower, None, "resample this preset per seed"),
+        "roster": (str, None, "fixed roster CSV instead of a preset"),
+        "methods": (_parse_methods, "fern", f"subset of {','.join(METHODS)}"),
+        "seeds": (_parse_seeds, "0", "seed list; A..B is inclusive"),
+        "reps": (int, "10",
+                 "sub-runs averaged per seed for stochastic methods"),
+        **_SHAPE_OPTS,
+        "team_count": _TEAM_COUNT,
+        "gain_epsilon": _GAIN_EPSILON,
+        "out": (str, "metrics.csv", "metrics CSV path"),
+        **_SPEC_OPTS,
     },
 }
+_CHOICES = {"preset": sorted(PRESETS), "method": METHODS}
+_METAVARS = {"requirements": "R1,R2,...", "methods": "M1,M2,...",
+             "seeds": "S1,S2|A..B"}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -141,21 +154,19 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         raise ValidationError(
             f"unknown config keys: {', '.join(sorted(unknown))}")
     out = {}
-    for dest, (convert, default) in specs.items():
-        cli_value = getattr(args, dest)
-        if cli_value is not None:
-            out[dest] = cli_value
-        elif dest in config:
-            out[dest] = convert(config[dest])
-        else:
-            out[dest] = default
+    for dest, (convert, default, _) in specs.items():
+        value = getattr(args, dest)
+        if value is None:
+            text = config.get(dest, default)
+            value = None if text is None else convert(text)
+        out[dest] = value
     return out
 
 
 def _build_task_spec(k: int, opts: dict) -> TaskSpec:
     reqs = opts["requirements"]
     if reqs is None:
-        reqs = (2.0,) * k
+        reqs = default_spec(k).requirements
     elif len(reqs) == 1 and k > 1:
         reqs = reqs * k
     elif len(reqs) != k:
@@ -231,9 +242,6 @@ def _cmd_solve(args) -> int:
     opts = _resolve(args, "solve")
     if not opts["roster"]:
         raise ValidationError("solve requires --roster")
-    if opts["method"] not in METHODS:
-        raise ValidationError(
-            f"unknown method {opts['method']!r}; expected one of {METHODS}")
     instance = load_instance(opts["roster"])
     spec = _build_task_spec(instance.k, opts)
     refine_config = RefineConfig(gain_epsilon=opts["gain_epsilon"])
@@ -296,18 +304,12 @@ def _cmd_experiment(args) -> int:
     return 1 if result.failures else 0
 
 
-def _add_spec_flags(parser):
-    parser.add_argument("--requirements", type=_parse_requirements,
-                        metavar="R1,R2,...",
-                        help="per-skill requirement sums; a single value "
-                             "is broadcast to every skill (default 2)")
-    parser.add_argument("--gamma", type=float,
-                        help="weight of average benefit (default 1)")
-    parser.add_argument("--delta", type=float,
-                        help="weight of group-benefit variance (default 1)")
-    parser.add_argument("--benefit-epsilon", type=float,
-                        help="margin a teammate must exceed in some skill "
-                             "to count as beneficial (default 0)")
+_COMMANDS = {
+    "generate": (_cmd_generate, "sample a synthetic roster CSV"),
+    "solve": (_cmd_solve, "form teams for one roster"),
+    "evaluate": (_cmd_evaluate, "score an existing assignment"),
+    "experiment": (_cmd_experiment, "run a methods x seeds batch"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,65 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Skill-requirement team formation with per-group "
                     "benefit balancing.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="sample a synthetic roster CSV")
-    p.add_argument("--preset", type=str.lower, choices=sorted(PRESETS),
-                   help="difficulty preset (default d1)")
-    p.add_argument("--n", type=int, help="number of students (default 100)")
-    p.add_argument("--skills", type=int, help="skill dimensions (default 2)")
-    p.add_argument("--groups", type=int,
-                   help="number of protected groups (default 2)")
-    p.add_argument("--seed", type=int, help="generation seed (default 0)")
-    p.add_argument("--out", help="output roster path (default roster.csv)")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("solve", help="form teams for one roster")
-    p.add_argument("--roster", help="input roster CSV")
-    p.add_argument("--method", choices=METHODS, help="default fern")
-    p.add_argument("--seed", type=int,
-                   help="seed for stochastic methods (default 0)")
-    p.add_argument("--team-count", type=int,
-                   help="override the team count for random/umeans/ga")
-    p.add_argument("--gain-epsilon", type=float,
-                   help="smallest pass gain the refiner commits "
-                        "(default 1e-4)")
-    p.add_argument("--assignment-out",
-                   help="output assignment path (default assignment.csv)")
-    _add_spec_flags(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("evaluate", help="score an existing assignment")
-    p.add_argument("--roster", help="input roster CSV")
-    p.add_argument("--assignment", help="assignment CSV to score")
-    p.add_argument("--seed", type=int,
-                   help="seed recorded in the metrics row (default 0)")
-    _add_spec_flags(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("experiment", help="run a methods x seeds batch")
-    p.add_argument("--preset", type=str.lower, choices=sorted(PRESETS),
-                   help="resample this preset per seed")
-    p.add_argument("--roster", help="fixed roster CSV instead of a preset")
-    p.add_argument("--methods", type=_parse_methods, metavar="M1,M2,...",
-                   help=f"subset of {','.join(METHODS)} (default fern)")
-    p.add_argument("--seeds", type=_parse_seeds, metavar="S1,S2|A..B",
-                   help="seed list; A..B is inclusive (default 0)")
-    p.add_argument("--reps", type=int,
-                   help="sub-runs averaged per seed for stochastic methods "
-                        "(default 10)")
-    p.add_argument("--n", type=int, help="students per dataset (default 100)")
-    p.add_argument("--skills", type=int, help="skill dimensions (default 2)")
-    p.add_argument("--groups", type=int, help="protected groups (default 2)")
-    p.add_argument("--team-count", type=int,
-                   help="override the team count for random/umeans/ga")
-    p.add_argument("--gain-epsilon", type=float)
-    p.add_argument("--out", help="metrics CSV path (default metrics.csv)")
-    _add_spec_flags(p)
-    p.set_defaults(func=_cmd_experiment)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config",
-                        help="key=value file; flags override its entries")
+    for command, (func, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        # default=None lets _resolve tell a flag that was not given apart
+        # from one that was
+        for dest, (convert, default, text) in _OPTS[command].items():
+            if default is not None:
+                text += f" (default {default})"
+            p.add_argument("--" + dest.replace("_", "-"), type=convert,
+                           choices=_CHOICES.get(dest),
+                           metavar=_METAVARS.get(dest), help=text)
+        p.add_argument("--config",
+                       help="key=value file; flags override its entries")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -39,17 +39,13 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """gain_epsilon: smallest pass gain fmhc still commits (finite, > 0).
-    max_passes: optional safety cap (fmhc passes / sahc accepted moves)."""
+    """gain_epsilon: smallest pass gain fmhc still commits (finite, > 0)."""
 
     gain_epsilon: float = 1e-4
-    max_passes: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.gain_epsilon < np.inf:
             raise ValidationError("gain_epsilon must be positive and finite")
-        if self.max_passes is not None and self.max_passes < 1:
-            raise ValidationError("max_passes must be at least 1 when set")
 
 
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
@@ -92,7 +88,6 @@ class SolverState:
         self.inst = instance
         self.spec = spec
         self.b = b
-        self.bf = np.ascontiguousarray(b, dtype=np.float64)
         self.team_of = np.ascontiguousarray(team_of, dtype=np.int64).copy()
         self.n_slots = int(n_slots)
         self._group_one_hot = np.zeros((instance.n, instance.m))
@@ -118,10 +113,10 @@ class SolverState:
         membership = np.zeros((n, s))
         membership[np.arange(n), self.team_of] = 1.0
         # benefit_vs_team[i, l]: teammates-of-l that student i benefits from
-        self.benefit_vs_team = self.bf @ membership
+        self.benefit_vs_team = self.b @ membership
         # benefit_to_team[i, l, q]: group-q members of team l benefiting from i
         self.benefit_to_team = np.einsum(
-            "ji,jl,jq->ilq", self.bf, membership, self._group_one_hot,
+            "ji,jl,jq->ilq", self.b, membership, self._group_one_hot,
             optimize=True)
 
         own = self.benefit_vs_team[np.arange(n), self.team_of]
@@ -160,8 +155,7 @@ class SolverState:
 
     def clone(self) -> "SolverState":
         other = object.__new__(SolverState)
-        other.inst, other.spec, other.b, other.bf = (
-            self.inst, self.spec, self.b, self.bf)
+        other.inst, other.spec, other.b = self.inst, self.spec, self.b
         other.n_slots = self.n_slots
         other._group_one_hot = self._group_one_hot
         for name in ("team_of", "sizes", "active", "sums", "defic",
@@ -309,10 +303,10 @@ class SolverState:
             _deficiency(self.sums[dest], self.spec.requirements))
         self.defic_total += self.defic[src] + self.defic[dest]
 
-        self.benefit_vs_team[:, src] -= self.bf[:, student]
-        self.benefit_vs_team[:, dest] += self.bf[:, student]
-        self.benefit_to_team[:, src, g] -= self.bf[student, :]
-        self.benefit_to_team[:, dest, g] += self.bf[student, :]
+        self.benefit_vs_team[:, src] -= self.b[:, student]
+        self.benefit_vs_team[:, dest] += self.b[:, student]
+        self.benefit_to_team[:, src, g] -= self.b[student, :]
+        self.benefit_to_team[:, dest, g] += self.b[student, :]
         self.team_of[student] = dest
 
         for slot in (src, dest):
@@ -382,40 +376,37 @@ def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
     return state.assignment()
 
 
-def _climb(state: SolverState, budget: list, stats: dict | None) -> None:
-    """Steepest-descent loop: apply the best move while strictly improving."""
-    while budget[0] != 0:
-        student, dest, gain = _best_move(state.gain_matrix())
-        if stats is not None:
-            stats["iterations"] = stats.get("iterations", 0) + 1
-        if gain <= 0.0:
-            break
-        state.apply(student, dest)
-        budget[0] -= 1
-        if stats is not None:
-            stats["moves"] = stats.get("moves", 0) + 1
+def _refine(instance: Instance, spec: TaskSpec, b: np.ndarray,
+            initial: Assignment, step) -> Assignment:
+    """Run step(state) until it reports no progress, merge singleton teams,
+    and start again if a merge changed anything; merges only ever shrink
+    the team count, so this terminates."""
+    state = SolverState.from_assignment(instance, spec, b, initial)
+    while True:
+        while step(state):
+            pass
+        if not _merge_singletons(state):
+            return state.assignment()
 
 
 def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
-         initial: Assignment, config: RefineConfig | None = None,
-         stats: dict | None = None) -> Assignment:
-    """Steepest-ascent hill climbing (on a minimized objective).
+         initial: Assignment, stats: dict | None = None) -> Assignment:
+    """Steepest-ascent hill climbing (on a minimized objective): apply the
+    best move while its gain is strictly positive."""
+    stats = {} if stats is None else stats
+    stats.setdefault("iterations", 0)
+    stats.setdefault("moves", 0)
 
-    Climb to a single-move local minimum, merge any singleton teams, and
-    resume climbing if a merge opened new improving moves; merges only ever
-    shrink the team count, so this terminates.
-    """
-    config = config or RefineConfig()
-    state = SolverState.from_assignment(instance, spec, b, initial)
-    if stats is not None:
-        stats.setdefault("iterations", 0)
-        stats.setdefault("moves", 0)
-    budget = [-1 if config.max_passes is None else config.max_passes]
-    while True:
-        _climb(state, budget, stats)
-        if budget[0] == 0 or not _merge_singletons(state):
-            break
-    return state.assignment()
+    def step(state: SolverState) -> bool:
+        student, dest, gain = _best_move(state.gain_matrix())
+        stats["iterations"] += 1
+        if gain <= 0.0:
+            return False
+        state.apply(student, dest)
+        stats["moves"] += 1
+        return True
+
+    return _refine(instance, spec, b, initial, step)
 
 
 def _fmhc_pass(state: SolverState, config: RefineConfig) -> bool:
@@ -450,22 +441,11 @@ def fmhc(instance: Instance, spec: TaskSpec, b: np.ndarray,
          stats: dict | None = None) -> Assignment:
     """Pass-based refinement with uphill moves and prefix commits."""
     config = config or RefineConfig()
-    state = SolverState.from_assignment(instance, spec, b, initial)
-    if stats is not None:
-        stats.setdefault("passes", 0)
-    passes = 0
-    capped = False
-    while True:
-        while True:
-            if config.max_passes is not None and passes >= config.max_passes:
-                capped = True
-                break
-            progressed = _fmhc_pass(state, config)
-            passes += 1
-            if stats is not None:
-                stats["passes"] = passes
-            if not progressed:
-                break
-        if not _merge_singletons(state) or capped:
-            break
-    return state.assignment()
+    stats = {} if stats is None else stats
+    stats["passes"] = 0
+
+    def step(state: SolverState) -> bool:
+        stats["passes"] += 1
+        return _fmhc_pass(state, config)
+
+    return _refine(instance, spec, b, initial, step)

@@ -129,6 +129,19 @@ class TestSolve:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_method_is_case_insensitive(self, tmp_path, capsys):
+        roster = self._roster(tmp_path)
+        config = _write(tmp_path, "run.cfg", "method = FERN\n")
+        capsys.readouterr()
+        for name, extra in (("a.csv", ["--method", "FERN"]),
+                            ("b.csv", ["--config", config])):
+            assert main(["solve", "--roster", roster, *extra,
+                         "--assignment-out", str(tmp_path / name)]) == 0
+            _, rows = _parse_csv(capsys.readouterr().out)
+            assert rows[0]["method"] == "fern"
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()
+
     def test_missing_roster_flag(self, capsys):
         assert main(["solve"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -283,6 +296,34 @@ class TestConfigFile:
         assert main(["evaluate", "--roster", roster, "--assignment",
                      assignment, "--config", config]) == 1
         assert ":1: expected key=value" in capsys.readouterr().err
+
+
+# one non-default value per option, as typed on the command line
+SAMPLE_VALUES = {
+    "requirements": "1,3", "gamma": "0.5", "delta": "2",
+    "benefit_epsilon": "0.25", "preset": "D2", "n": "40", "skills": "3",
+    "groups": "4", "seed": "7", "out": "x.csv", "roster": "r.csv",
+    "method": "GA", "team_count": "5", "gain_epsilon": "0.001",
+    "assignment_out": "a.csv", "assignment": "t.csv", "methods": "GA,gmbf",
+    "seeds": "1..3", "reps": "4",
+}
+
+
+@pytest.mark.parametrize("command, dest, value", [
+    (command, dest, SAMPLE_VALUES[dest])
+    for command, opts in cli._OPTS.items() for dest in opts
+] + [("solve", "method", "FERN")])
+def test_flag_and_config_key_resolve_alike(tmp_path, command, dest, value):
+    parser = cli.build_parser()
+    flag = "--" + dest.replace("_", "-")
+    from_flag = cli._resolve(parser.parse_args([command, flag, value]),
+                             command)[dest]
+    convert = cli._OPTS[command][dest][0]
+    assert from_flag == convert(value)
+    for key in (dest, dest.replace("_", "-")):
+        config = _write(tmp_path, "run.cfg", f"{key} = {value}\n")
+        args = parser.parse_args([command, "--config", config])
+        assert cli._resolve(args, command)[dest] == from_flag
 
 
 class TestExperiment:

@@ -287,8 +287,7 @@ class TestSahc:
         positive = np.argwhere(gains > 1e-12)
         assert positive.tolist() == [[0, 0]]
         stats = {}
-        result = sahc(inst, spec, b, Assignment(UNIQUE_START),
-                      config=RefineConfig(max_passes=1), stats=stats)
+        result = sahc(inst, spec, b, Assignment(UNIQUE_START), stats=stats)
         assert stats["moves"] == 1
         expected = UNIQUE_START.copy()
         expected[0] = 0
@@ -331,15 +330,6 @@ class TestSahc:
         twice = sahc(inst, spec, b, once, stats=stats)
         assert stats["moves"] == 0
         assert np.array_equal(once.team_of, twice.team_of)
-
-    def test_budget_caps_move_count(self):
-        rng = np.random.default_rng(31)
-        for _ in range(8):
-            inst, spec, b, assignment, _ = _random_state(rng)
-            stats = {}
-            sahc(inst, spec, b, assignment,
-                 config=RefineConfig(max_passes=1), stats=stats)
-            assert stats["moves"] <= 1
 
     def test_collects_stats(self):
         rng = np.random.default_rng(32)
@@ -466,16 +456,9 @@ class TestRefineConfig:
         with pytest.raises(ValidationError):
             RefineConfig(gain_epsilon=value)
 
-    def test_rejects_non_positive_budget(self):
-        with pytest.raises(ValidationError):
-            RefineConfig(max_passes=-1)
-        with pytest.raises(ValidationError):
-            RefineConfig(max_passes=0)
-
     def test_defaults(self):
         config = RefineConfig()
         assert config.gain_epsilon == pytest.approx(1e-4)
-        assert config.max_passes is None
 
 
 # sha256 of the little-endian int64 team_of that each refiner returns from a
