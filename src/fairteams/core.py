@@ -172,11 +172,14 @@ def _compact_rows(labels) -> tuple[np.ndarray, np.ndarray]:
         offset = np.unique(keys, return_inverse=True)[1].reshape(n_rows, n)
         offset -= offset.min(axis=1, keepdims=True)
     width = int(offset.max(initial=0)) + 1
-    cell = offset + np.arange(0, n_rows * width, width)[:, None]
+    cell = offset  # a fresh array, so it is shifted in place
+    cell += np.arange(0, n_rows * width, width)[:, None]
     present = np.zeros((n_rows, width), dtype=np.int64)
     present.put(cell, 1)
     present.cumsum(axis=1, out=present)
-    return present.take(cell) - 1, present[:, -1]
+    team_of = present.take(cell)
+    team_of -= 1
+    return team_of, present[:, -1]
 
 
 def compact_assignment(labels) -> Assignment:
@@ -219,8 +222,10 @@ def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
 
 
 # Byte budget for a block of objective_batch rows: their (team, word) masks
-# plus the words gathered per student (a block has at least one row).
-_COMEMBER_BYTES = 1 << 18
+# plus the words gathered per student (a block has at least one row). Kept
+# small: scratch that one call frees past glibc's trim threshold goes back to
+# the OS, and the next call faults it in again (GA generations at n=100).
+_COMEMBER_BYTES = 1 << 16
 
 
 def _team_sums(skills: np.ndarray, team_of: np.ndarray,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .core import Instance, make_instance
 from .errors import ValidationError
@@ -77,6 +76,7 @@ def bucket_distribution(alpha: float, beta: float) -> np.ndarray:
     """
     if alpha <= 0 or beta <= 0:
         raise ValidationError("beta shape parameters must be positive")
+    from scipy.stats import beta as beta_dist  # about 1 s to import
     cdf = beta_dist.cdf(np.array([0.0, *BUCKET_EDGES, 1.0]), alpha, beta)
     return np.diff(cdf)[::-1]
 

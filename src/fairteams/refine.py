@@ -50,8 +50,7 @@ class RefineConfig:
 
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
     """Per-team squared shortfall, summed over skills. sums: (..., k)."""
-    shortfall = np.clip(requirements - sums, 0.0, None)
-    return (shortfall ** 2).sum(axis=-1)
+    return (np.maximum(requirements - sums, 0.0) ** 2).sum(axis=-1)
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:

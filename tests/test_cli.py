@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +409,39 @@ class TestExperiment:
         assert main(["experiment", "--preset", "d1",
                      "--seeds", "0..x", "--out",
                      str(tmp_path / "m.csv")]) == 2
+
+
+# Runs in a fresh interpreter: the pytest process already holds scipy
+# (test_acceptance imports scipy.stats.binomtest).
+_SCIPY_FREE = """
+import contextlib, io, sys
+import fairteams
+from fairteams.cli import main
+roster, teams = sys.argv[1:]
+for argv in (["generate", "--preset", "d3", "--n", "12", "--out", roster],
+             ["solve", "--method", "fern", "--roster", roster,
+              "--assignment-out", teams],
+             ["solve", "--method", "ga", "--roster", roster,
+              "--assignment-out", teams],
+             ["evaluate", "--roster", roster, "--assignment", teams]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(fairteams.bucket_distribution(7.5, 1.0).tobytes().hex())
+"""
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # scipy.stats takes about 1 s to import, and only bucket_distribution
+    # needs it; it still gives the same bytes once it is loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE, str(tmp_path / "roster.csv"),
+         str(tmp_path / "teams.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    modules, masses = proc.stdout.splitlines()
+    assert modules == "[]"
+    assert masses == ("a4560450004dec3f23577599f32dbc3f"
+                      "cd3b7f669e80763f000000000000003f")

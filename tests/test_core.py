@@ -405,23 +405,47 @@ class TestObjectiveBatch:
                 assert scored.f[p].tobytes() == np.float64(one.f).tobytes()
 
 
-    def test_sparse_rows_keep_memory_linear(self):
+    @pytest.mark.parametrize("n_rows, n, sparse, bound", [
         # every row draws its labels from across the whole batch's values,
         # so ranking the values alone would leave each row about P * N wide
         # and the presence table P times larger than labels (over 400x)
+        (400, 40, True, 32),
+        # one GA generation's children at n=100 with 24 teams: scratch that
+        # a call frees is faulted in again by the next one, so it stays small
+        (199, 100, False, 6),
+    ], ids=["sparse", "ga"])
+    def test_sparse_rows_keep_memory_linear(self, n_rows, n, sparse, bound):
         rng = np.random.default_rng(17)
-        n, n_rows = 40, 400
         inst = make_random_instance(rng, n=n, k=2, m=2)
         spec = make_random_spec(rng, inst.k)
         b = compute_benefit_matrix(inst, spec.benefit_epsilon)
-        labels = rng.permutation(n_rows * n).reshape(n_rows, n) * 1000
+        if sparse:
+            labels = rng.permutation(n_rows * n).reshape(n_rows, n) * 1000
+        else:
+            labels = rng.integers(0, 24, (n_rows, n))
         tracemalloc.start()
         try:
             objective_batch(inst, spec, b, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * labels.nbytes
+        assert peak < bound * labels.nbytes
+
+
+    def test_compaction_scratch_is_two_label_sized_arrays(self):
+        # one GA generation's children at n=100: only the shifted offsets
+        # and the renumbered labels are the batch's size, since every such
+        # array freed by one call is faulted in again by the next
+        labels = np.random.default_rng(18).integers(0, 24, (199, 100))
+        before = labels.copy()
+        tracemalloc.start()
+        try:
+            core._compact_rows(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * labels.nbytes
+        assert np.array_equal(labels, before)  # int64 input is not copied
 
 
 class TestObjectiveInvariants:
