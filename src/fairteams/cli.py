@@ -219,6 +219,9 @@ def load_assignment(path, instance: Instance) -> Assignment:
             except ValueError:
                 raise ValidationError(
                     f"{path}:{line_no}: team_id must be an integer") from None
+            except OverflowError:
+                raise ValidationError(
+                    f"{path}:{line_no}: team_id out of range") from None
     missing = [sid for sid, i in index.items() if team_of[i] == -1]
     if missing:
         raise ValidationError(

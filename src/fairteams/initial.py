@@ -1,13 +1,16 @@
 """Initial assignment construction.
 
-Three greedy builders (gmbf, lmbf, lmbff) grow one team at a time and close
-it the moment every skill requirement is met, then start the next; the last
-team may fall short when students run out. random_init shuffles students into
-a fixed number of near-equal teams. All ties break toward the lowest student
-index so every builder is deterministic.
+Two greedy builders, gmbf and the local lmbff (lmbf is its gamma=1,
+delta=0 case), grow one team at a time and close it the moment every skill
+requirement is met, then start the next; the last team may fall short when
+students run out. random_init shuffles students into a fixed number of
+near-equal teams. All ties break toward the lowest student index so every
+builder is deterministic.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,62 +46,35 @@ def gmbf(instance: Instance, spec: TaskSpec, b: np.ndarray) -> Assignment:
     return Assignment(team_of)
 
 
-def _seed_order(b: np.ndarray) -> np.ndarray:
-    # lowest global benefit row sum first; ties toward the lower index
-    row_sums = b.sum(axis=1)
-    return np.lexsort((np.arange(b.shape[0]), row_sums))
-
-
 def lmbf(instance: Instance, spec: TaskSpec, b: np.ndarray) -> Assignment:
     """Local max benefit first.
 
     Each team starts from the unassigned student with the globally lowest
     benefit row sum, then repeatedly adds the unassigned student benefiting
-    from the most current team members.
+    from the most current team members. This is lmbff with gamma=1 and
+    delta=0, whatever spec's own weights are.
     """
-    n = instance.n
-    unassigned = np.ones(n, dtype=bool)
-    seed_rank = np.empty(n, dtype=np.int64)
-    seed_rank[_seed_order(b)] = np.arange(n)
-
-    team_of = np.empty(n, dtype=np.int64)
-    team = 0
-    while unassigned.any():
-        pool = np.flatnonzero(unassigned)
-        seed = pool[np.argmin(seed_rank[pool])]
-        members = [seed]
-        unassigned[seed] = False
-        team_of[seed] = team
-        sums = instance.skills[seed].copy()
-        while not _met(sums, spec.requirements) and unassigned.any():
-            pool = np.flatnonzero(unassigned)
-            # raw benefited-from count; the 1/|team| factor is constant here
-            scores = b[pool][:, members].sum(axis=1)
-            pick = pool[int(np.argmax(scores))]
-            members.append(pick)
-            unassigned[pick] = False
-            team_of[pick] = team
-            sums += instance.skills[pick]
-        team += 1
-    return Assignment(team_of)
+    return lmbff(instance, replace(spec, gamma=1.0, delta=0.0), b)
 
 
 def lmbff(instance: Instance, spec: TaskSpec, b: np.ndarray) -> Assignment:
     """Local max benefit first with fairness.
 
-    Seeded like lmbf, but each addition picks the candidate minimizing
-    gamma * (-y') + delta * z', where y' and z' are the mean benefit and
-    group-benefit variance over the students placed so far with the
-    candidate included. Placed students keep the individual benefit they had
-    at placement time (the candidate contributes only its own benefit
-    against the current team), which makes delta=0 coincide with lmbf
-    exactly; groups with no placed member yet stay out of the variance.
+    Each team starts from the unassigned student with the globally lowest
+    benefit row sum (ties toward the lower index). Each addition then picks
+    the candidate minimizing gamma * (-y') + delta * z', where y' and z' are
+    the mean benefit and group-benefit variance over the students placed so
+    far with the candidate included. Placed students keep the individual
+    benefit they had at placement time (the candidate contributes only its
+    own benefit against the current team), so at gamma=1, delta=0 the pick
+    is the candidate benefiting from the most team members: that is lmbf.
+    Groups with no placed member yet stay out of the variance.
     """
     n, m = instance.n, instance.m
     gamma, delta = spec.gamma, spec.delta
     unassigned = np.ones(n, dtype=bool)
     seed_rank = np.empty(n, dtype=np.int64)
-    seed_rank[_seed_order(b)] = np.arange(n)
+    seed_rank[np.lexsort((np.arange(n), b.sum(axis=1)))] = np.arange(n)
 
     placed_total = 0.0
     placed_count = 0

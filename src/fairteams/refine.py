@@ -17,6 +17,8 @@ benefit sums. Terms that depend on d alone are cached per column, so a move
 refreshes only columns s and d; the O(N (m + k)) row terms of what x's
 source loses are recomputed per call. Each cell takes the same floating-point
 operations in the same order as a full recompute: gains are bit-identical.
+SolverState.gain_matrix is the only copy of this formula: gain(x, d) is one
+cell of it, and a singleton merge takes the first maximum of x's row.
 
 A move that empties its source team drops that team from the objective's
 normalizer and from the destination set; no move may create a new team.
@@ -80,6 +82,7 @@ class SolverState:
     caches _new_ind (N, slots), _dest_delta (m, N, slots; group-major) and
     _def_dest_new (N, slots) depends on slot l alone, so apply() refreshes
     two columns and gain_matrix() adds the per-student row terms.
+    gain_matrix() holds the only gain formula; gain() reads one cell of it.
     """
 
     def __init__(self, instance: Instance, spec: TaskSpec, b: np.ndarray,
@@ -234,46 +237,15 @@ class SolverState:
         return full
 
     def gain(self, student: int, dest: int) -> float:
-        """Single-move gain, same caches, scalar arithmetic."""
-        inst, spec = self.inst, self.spec
-        src = int(self.team_of[student])
-        if dest == src:
+        """Single-move gain: that cell of gain_matrix with every other
+        student locked."""
+        if dest == self.team_of[student]:
             raise ValidationError("self-moves have no gain")
         if not (0 <= dest < self.n_slots) or not self.active[dest]:
             raise ValidationError(f"destination team {dest} does not exist")
-        n_src = int(self.sizes[src])
-        n_dest = int(self.sizes[dest])
-        g = int(self.inst.groups[student])
-
-        d_group = np.zeros(inst.m)
-        d_group[g] += self.benefit_vs_team[student, dest] / n_dest - self.ind[student]
-
-        left_base = self.own_by_group[src].copy()
-        left_base[g] -= self.benefit_vs_team[student, src]
-        if n_src >= 3:
-            d_group += ((left_base - self.benefit_to_team[student, src]) / (n_src - 2)
-                        - left_base / (n_src - 1))
-        elif n_src == 2:
-            d_group -= left_base
-
-        if n_dest >= 2:
-            d_group -= self.own_by_group[dest] / (n_dest - 1)
-        d_group += (self.own_by_group[dest]
-                    + self.benefit_to_team[student, dest]) / n_dest
-
-        y_new = (self.ind_total + d_group.sum()) / inst.n
-        z_new = float(((self.group_sums + d_group) / self.group_counts).var())
-
-        def_src_new = 0.0 if n_src == 1 else float(
-            _deficiency(self.sums[src] - inst.skills[student], spec.requirements))
-        def_dest_new = float(
-            _deficiency(self.sums[dest] + inst.skills[student], spec.requirements))
-        teams_after = self.n_active - (1 if n_src == 1 else 0)
-        x_new = (self.defic_total - self.defic[src] - self.defic[dest]
-                 + def_src_new + def_dest_new) / (teams_after * inst.k)
-
-        f_new = x_new - spec.gamma * y_new + spec.delta * z_new
-        return self.objective().f - f_new
+        locked = np.ones(self.inst.n, dtype=bool)
+        locked[student] = False
+        return float(self.gain_matrix(locked)[student, dest])
 
     def apply(self, student: int, dest: int):
         """Move the student and refresh the caches in O(N (m + k))."""
@@ -345,16 +317,11 @@ def _merge_singletons(state: SolverState) -> bool:
         single = np.flatnonzero(state.active & (state.sizes == 1))
         if single.size == 0:
             break
-        slot = int(single[0])
-        student = int(np.flatnonzero(state.team_of == slot)[0])
-        best_dest, best_gain = -1, None
-        for dest in np.flatnonzero(state.active):
-            if dest == slot:
-                continue
-            gain = state.gain(student, int(dest))
-            if best_gain is None or gain > best_gain:
-                best_dest, best_gain = int(dest), gain
-        state.apply(student, best_dest)
+        student = int(np.flatnonzero(state.team_of == single[0])[0])
+        locked = np.ones(state.inst.n, dtype=bool)
+        locked[student] = False
+        # first maximum: destination ties go to the lower slot
+        state.apply(student, int(np.argmax(state.gain_matrix(locked)[student])))
         changed = True
     return changed
 

@@ -1,0 +1,44 @@
+"""The benchmark's tracer and pass counter still hook into the package.
+
+bench/tracer.py wraps SolverState.__init__, apply, clone, gain and
+gain_matrix by name and hands fmhc a stats dict; a refactor that drops one
+of these fails here instead of only in the benchmark's own, slower suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from fairteams import cli
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_and_pass_counter_hook_a_fern_solve(tmp_path, capsys):
+    roster = str(tmp_path / "roster.csv")
+    assert cli.main(["generate", "--preset", "d3", "--n", "40",
+                     "--out", roster]) == 0
+    tracer_module = _load_tracer()
+    counter, tracer = tracer_module.PassCounter(), tracer_module.Tracer()
+    try:
+        # installs record each wrapper before binding it, so a failed
+        # install is undone below too
+        counter.install()
+        tracer.install()
+        before = tracer.start_op(0)
+        status = cli.main(["solve", "--method", "fern", "--roster", roster,
+                           "--assignment-out", str(tmp_path / "teams.csv")])
+        tracer.stop_op(before)
+    finally:
+        tracer.uninstall()
+        counter.uninstall()
+    capsys.readouterr()
+    assert status == 0
+    assert "refine.SolverState.gain_matrix" in {s[0] for s in tracer.spans}
+    assert counter.passes >= 1

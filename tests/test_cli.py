@@ -259,6 +259,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "no assignment for d" in err
 
+    def test_out_of_range_team_id(self, tmp_path, capsys):
+        roster = _write(tmp_path, "quad.csv", QUAD_ROSTER)
+        teams = _write(tmp_path, "teams.csv", "student_id,team_id\na,0\n"
+                       "b,99999999999999999999\nc,1\nd,1\n")
+        assert main(["evaluate", "--roster", roster,
+                     "--assignment", teams]) == 1
+        assert f"{teams}:3: team_id out of range" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_values_cli_overrides(self, tmp_path, capsys):
@@ -328,6 +336,25 @@ def test_flag_and_config_key_resolve_alike(tmp_path, command, dest, value):
         config = _write(tmp_path, "run.cfg", f"{key} = {value}\n")
         args = parser.parse_args([command, "--config", config])
         assert cli._resolve(args, command)[dest] == from_flag
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--n", "10", "--seed", "-1", "--out", "OUT"], 1),
+    (["solve", "--roster", "ROSTER", "--method", "random", "--seed", "-1",
+      "--assignment-out", "OUT"], 1),
+    (["experiment", "--preset", "d1", "--n", "10", "--seeds=-1",
+      "--out", "OUT"], 1),
+    # evaluate only records its seed; no generator is made from it
+    (["evaluate", "--roster", "ROSTER", "--assignment", "TEAMS",
+      "--seed", "-1"], 0),
+])
+def test_negative_seed(tmp_path, capsys, argv, code):
+    paths = {"ROSTER": _write(tmp_path, "quad.csv", QUAD_ROSTER),
+             "TEAMS": _write(tmp_path, "teams.csv", QUAD_ASSIGNMENT),
+             "OUT": str(tmp_path / "out.csv")}
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert ("error: seeds must be non-negative, got -1" in err) == bool(code)
 
 
 class TestExperiment:
