@@ -10,9 +10,8 @@ generator support head-to-head evaluation.
 
 from .baselines import GAParams, genetic_algorithm, uniform_kmeans
 from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
-                   compact_assignment, compute_benefit_matrix,
-                   group_benefits, individual_benefits, make_instance,
-                   objective, objective_batch, team_skill_sums)
+                   compact_assignment, compute_benefit_matrix, make_instance,
+                   objective, objective_batch)
 from .datagen import (DatasetConfig, GroupGenSpec, bucket_distribution,
                       generate_dataset, generate_group, load_instance,
                       preset_config, save_roster)
@@ -33,10 +32,9 @@ __all__ = [
     "SolverState", "TaskSpec", "ValidationError",
     "bucket_distribution", "compact_assignment", "compute_benefit_matrix",
     "default_spec", "evaluate_solution", "fmhc", "generate_dataset",
-    "generate_group", "genetic_algorithm", "gmbf", "group_benefits",
-    "individual_benefits", "lmbf", "lmbff", "load_instance", "make_instance",
-    "metrics_csv_text", "objective", "objective_batch", "postprocess",
-    "preset_config", "random_init", "run_experiment", "sahc", "save_roster",
-    "solve_instance", "team_skill_sums", "uniform_kmeans",
-    "write_metrics_csv",
+    "generate_group", "genetic_algorithm", "gmbf", "lmbf", "lmbff",
+    "load_instance", "make_instance", "metrics_csv_text", "objective",
+    "objective_batch", "postprocess", "preset_config", "random_init",
+    "run_experiment", "sahc", "save_roster", "solve_instance",
+    "uniform_kmeans", "write_metrics_csv",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import GAParams
 from .core import (Assignment, Instance, TaskSpec, compact_assignment,
                    compute_benefit_matrix)
-from .datagen import (PRESETS, generate_dataset, load_instance,
+from .datagen import (PRESETS, generate_dataset, load_instance, open_text,
                       preset_config, save_roster)
 from .errors import ValidationError
 from .harness import (METHODS, ExperimentConfig, default_spec,
@@ -132,16 +132,14 @@ _METAVARS = {"requirements": "R1,R2,...", "methods": "M1,M2,...",
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for line_no, line in enumerate(open_text(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -191,38 +189,38 @@ def write_assignment(instance: Instance, assignment: Assignment,
 def load_assignment(path, instance: Instance) -> Assignment:
     """Parse an assignment CSV; every roster student exactly once."""
     index = {sid: i for i, sid in enumerate(instance.student_ids)}
-    team_of = np.full(instance.n, -1, dtype=np.int64)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty assignment file") from None
-        if header != ["student_id", "team_id"]:
+    team_of = np.zeros(instance.n, dtype=np.int64)
+    seen = np.zeros(instance.n, dtype=bool)
+    reader = csv.reader(open_text(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty assignment file") from None
+    if header != ["student_id", "team_id"]:
+        raise ValidationError(f"{path}: header must be student_id,team_id")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
             raise ValidationError(
-                f"{path}: header must be student_id,team_id")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 2 fields, got {len(row)}")
-            sid = row[0].strip()
-            if sid not in index:
-                raise ValidationError(
-                    f"{path}:{line_no}: unknown student_id {sid!r}")
-            if team_of[index[sid]] != -1:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate student_id {sid!r}")
-            try:
-                team_of[index[sid]] = int(row[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: team_id must be an integer") from None
-            except OverflowError:
-                raise ValidationError(
-                    f"{path}:{line_no}: team_id out of range") from None
-    missing = [sid for sid, i in index.items() if team_of[i] == -1]
+                f"{path}:{line_no}: expected 2 fields, got {len(row)}")
+        sid = row[0].strip()
+        if sid not in index:
+            raise ValidationError(
+                f"{path}:{line_no}: unknown student_id {sid!r}")
+        if seen[index[sid]]:
+            raise ValidationError(
+                f"{path}:{line_no}: duplicate student_id {sid!r}")
+        try:
+            team_of[index[sid]] = int(row[1])
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{line_no}: team_id must be an integer") from None
+        except OverflowError:
+            raise ValidationError(
+                f"{path}:{line_no}: team_id out of range") from None
+        seen[index[sid]] = True
+    missing = [sid for sid, i in index.items() if not seen[i]]
     if missing:
         raise ValidationError(
             f"{path}: no assignment for {', '.join(missing[:5])}"

@@ -124,10 +124,6 @@ class TaskSpec:
                 raise ValidationError(f"{name} must be non-negative")
             object.__setattr__(self, name, value)
 
-    @property
-    def k(self) -> int:
-        return self.requirements.shape[0]
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -195,7 +191,9 @@ def compact_assignment(labels) -> Assignment:
 class ObjectiveBreakdown:
     """Objective terms, floats from objective() and (P,) arrays from
     objective_batch(), with the team skill sums, (L, k) or (P, L, k) with L
-    the batch's largest team count, and (m,) or (P, m) group benefits."""
+    the batch's largest team count, the (m,) or (P, m) group benefits, and
+    the (N,) or (P, N) fraction of teammates each student benefits from
+    (0 for a singleton)."""
 
     x: float
     y: float
@@ -204,6 +202,7 @@ class ObjectiveBreakdown:
     team_sums: np.ndarray = field(default=None, repr=False, compare=False)
     group_benefits: np.ndarray = field(default=None, repr=False,
                                        compare=False)
+    individual: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
@@ -272,24 +271,6 @@ def _group_benefits(ind: np.ndarray, instance: Instance) -> np.ndarray:
     return sums.reshape(-1, m) / np.bincount(instance.groups, minlength=m)
 
 
-def individual_benefits(b: np.ndarray, assignment: Assignment) -> np.ndarray:
-    """Fraction of teammates each student benefits from; singletons get 0."""
-    return _individual_benefits(b, assignment.team_of[None])[0]
-
-
-def group_benefits(b: np.ndarray, assignment: Assignment,
-                   instance: Instance) -> np.ndarray:
-    """Mean individual benefit per group, index q in 0..m-1."""
-    return _group_benefits(individual_benefits(b, assignment)[None],
-                           instance)[0]
-
-
-def team_skill_sums(instance: Instance, assignment: Assignment) -> np.ndarray:
-    """(L, k) matrix of per-team skill totals."""
-    return _team_sums(instance.skills, assignment.team_of[None],
-                      assignment.n_teams)[0]
-
-
 def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
                     labels) -> ObjectiveBreakdown:
     """Evaluate (x, y, z, f) for each row of a (P, N) array of team labels.
@@ -316,7 +297,8 @@ def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
     y, z = ind.mean(axis=1), gben.var(axis=1)
     return ObjectiveBreakdown(x=x, y=y, z=z,
                               f=x - spec.gamma * y + spec.delta * z,
-                              team_sums=sums, group_benefits=gben)
+                              team_sums=sums, group_benefits=gben,
+                              individual=ind)
 
 
 def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,
@@ -331,4 +313,5 @@ def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,
     batch = objective_batch(instance, spec, b, assignment.team_of[None])
     x, y, z, f = (float(t[0]) for t in (batch.x, batch.y, batch.z, batch.f))
     return ObjectiveBreakdown(x, y, z, f, team_sums=batch.team_sums[0],
-                              group_benefits=batch.group_benefits[0])
+                              group_benefits=batch.group_benefits[0],
+                              individual=batch.individual[0])

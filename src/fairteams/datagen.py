@@ -11,6 +11,7 @@ unequal; the presets below range from near-identical to near-disjoint.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -52,16 +53,12 @@ class GroupGenSpec:
 class DatasetConfig:
     skill_dims: int
     groups: tuple[GroupGenSpec, ...]
-    group_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.skill_dims < 1:
             raise ValidationError("skill_dims must be at least 1")
         if not self.groups:
             raise ValidationError("at least one group is required")
-        if self.group_labels is not None \
-                and len(self.group_labels) != len(self.groups):
-            raise ValidationError("one label per group is required")
 
     @property
     def n_students(self) -> int:
@@ -100,8 +97,7 @@ def generate_dataset(config: DatasetConfig, seed=0) -> Instance:
         blocks.append(generate_group(g.count, g.alpha, g.beta,
                                      config.skill_dims, rng))
         group_ids.append(np.full(g.count, q, dtype=np.int64))
-    return make_instance(np.vstack(blocks), np.concatenate(group_ids),
-                         group_labels=config.group_labels)
+    return make_instance(np.vstack(blocks), np.concatenate(group_ids))
 
 
 def preset_config(name: str, n_students: int, skill_dims: int = 2,
@@ -147,59 +143,69 @@ def save_roster(instance: Instance, path) -> None:
                 + [repr(float(v)) for v in instance.skills[i]])
 
 
+def open_text(path) -> io.StringIO:
+    """The text file at path, read whole and split into lines as
+    open(path, newline="") splits them; undecodable bytes raise
+    ValidationError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def load_instance(path) -> Instance:
     """Parse a roster CSV back into an Instance.
 
     Group ids are assigned by first appearance of each label. Raises
     ValidationError with a line number on any malformed content.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty roster file") from None
-        if len(header) < 3 or header[:2] != ["student_id", "group"]:
-            raise ValidationError(
-                f"{path}: header must start with student_id,group")
-        k = len(header) - 2
-        expected = [f"skill_{p + 1}" for p in range(k)]
-        if header[2:] != expected:
-            raise ValidationError(
-                f"{path}: skill columns must be {','.join(expected)}")
+    reader = csv.reader(open_text(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty roster file") from None
+    if len(header) < 3 or header[:2] != ["student_id", "group"]:
+        raise ValidationError(
+            f"{path}: header must start with student_id,group")
+    k = len(header) - 2
+    expected = [f"skill_{p + 1}" for p in range(k)]
+    if header[2:] != expected:
+        raise ValidationError(
+            f"{path}: skill columns must be {','.join(expected)}")
 
-        ids, labels, rows = [], [], []
-        seen_ids: set[str] = set()
-        label_order: dict[str, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 2:
+    ids, labels, rows = [], [], []
+    seen_ids: set[str] = set()
+    label_order: dict[str, int] = {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != k + 2:
+            raise ValidationError(
+                f"{path}:{line_no}: expected {k + 2} fields, got {len(row)}")
+        sid, label = row[0].strip(), row[1].strip()
+        if not sid:
+            raise ValidationError(f"{path}:{line_no}: empty student_id")
+        if sid in seen_ids:
+            raise ValidationError(
+                f"{path}:{line_no}: duplicate student_id {sid!r}")
+        if not label:
+            raise ValidationError(f"{path}:{line_no}: empty group label")
+        try:
+            skills = [float(v) for v in row[2:]]
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{line_no}: non-numeric skill value") from None
+        for v in skills:
+            if not 0.0 <= v <= 1.0 or not math.isfinite(v):
                 raise ValidationError(
-                    f"{path}:{line_no}: expected {k + 2} fields, got {len(row)}")
-            sid, label = row[0].strip(), row[1].strip()
-            if not sid:
-                raise ValidationError(f"{path}:{line_no}: empty student_id")
-            if sid in seen_ids:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate student_id {sid!r}")
-            if not label:
-                raise ValidationError(f"{path}:{line_no}: empty group label")
-            try:
-                skills = [float(v) for v in row[2:]]
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: non-numeric skill value") from None
-            for v in skills:
-                if not 0.0 <= v <= 1.0 or not math.isfinite(v):
-                    raise ValidationError(
-                        f"{path}:{line_no}: skill values must lie in [0, 1]")
-            if label not in label_order:
-                label_order[label] = len(label_order)
-            ids.append(sid)
-            seen_ids.add(sid)
-            labels.append(label_order[label])
-            rows.append(skills)
+                    f"{path}:{line_no}: skill values must lie in [0, 1]")
+        if label not in label_order:
+            label_order[label] = len(label_order)
+        ids.append(sid)
+        seen_ids.add(sid)
+        labels.append(label_order[label])
+        rows.append(skills)
     if len(ids) < 2:
         raise ValidationError(f"{path}: a roster needs at least two students")
     return make_instance(np.array(rows), np.array(labels, dtype=np.int64),

@@ -148,7 +148,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("fern",)
     preset: str | None = "d1"
     roster: str | None = None
-    dataset_name: str | None = None
     n_students: int = 100
     skill_dims: int = 2
     n_groups: int = 2
@@ -177,8 +176,6 @@ class ExperimentConfig:
 
     @property
     def label(self) -> str:
-        if self.dataset_name:
-            return self.dataset_name
         if self.preset is not None:
             return self.preset.lower()
         return roster_label(self.roster)
@@ -315,12 +312,11 @@ def _format_cell(value) -> str:
 
 
 def metrics_header(group_labels: tuple[str, ...]) -> list[str]:
-    return (["dataset", "method", "seed", "n", "l_final", "pct_teams_met",
-             "y_pct", "z_pct", "objective", "runtime_ms"]
+    return (["dataset", "method", "seed", *METRIC_COLUMNS]
             + [f"gben_{label}" for label in group_labels])
 
 
-def write_metrics_csv(records, path_or_file, aggregates=()) -> None:
+def metrics_csv_text(records, aggregates=()) -> str:
     """Plain CSV, floats via repr so identical runs emit identical bytes."""
     rows = list(records) + list(aggregates)
     if not rows:
@@ -330,24 +326,18 @@ def write_metrics_csv(records, path_or_file, aggregates=()) -> None:
         if r.group_labels != labels:
             raise ValidationError(
                 "all records in one CSV must share group labels")
-
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(metrics_header(labels))
-        for r in rows:
-            writer.writerow(
-                [r.dataset, r.method, _format_cell(r.seed)]
-                + [_format_cell(v) for v in r.metric_values()])
-
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file,
-                                                         "__fspath__"):
-        with open(path_or_file, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(path_or_file)
-
-
-def metrics_csv_text(records, aggregates=()) -> str:
     buf = io.StringIO()
-    write_metrics_csv(records, buf, aggregates=aggregates)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(metrics_header(labels))
+    for r in rows:
+        writer.writerow([r.dataset, r.method, _format_cell(r.seed)]
+                        + [_format_cell(v) for v in r.metric_values()])
     return buf.getvalue()
+
+
+def write_metrics_csv(records, path, aggregates=()) -> None:
+    """Write metrics_csv_text to path; the text is built before the file
+    is opened, so rejected records leave an existing file untouched."""
+    text = metrics_csv_text(records, aggregates=aggregates)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)

@@ -327,17 +327,10 @@ def _merge_singletons(state: SolverState) -> bool:
 
 
 def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
-                assignment) -> Assignment:
-    """Drop empty team ids, then merge singletons into their best team.
-
-    assignment may be an Assignment or a raw team-label vector (labels may
-    be sparse). With a lone team, or no singletons, the partition is
-    returned unchanged apart from label compaction.
-    """
-    team_of = assignment.team_of if isinstance(assignment, Assignment) \
-        else np.asarray(assignment, dtype=np.int64)
-    compacted = compact_assignment(team_of)
-    state = SolverState.from_assignment(instance, spec, b, compacted)
+                assignment: Assignment) -> Assignment:
+    """Merge each singleton team into its best team. With a lone team, or
+    no singletons, the partition is returned unchanged."""
+    state = SolverState.from_assignment(instance, spec, b, assignment)
     _merge_singletons(state)
     return state.assignment()
 

@@ -1,8 +1,9 @@
 """The benchmark's tracer and pass counter still hook into the package.
 
-bench/tracer.py wraps SolverState.__init__, apply, clone, gain and
-gain_matrix by name and hands fmhc a stats dict; a refactor that drops one
-of these fails here instead of only in the benchmark's own, slower suite.
+bench/tracer.py wraps package functions such as harness.write_metrics_csv
+and SolverState.__init__, apply, clone, gain and gain_matrix by name, and
+hands fmhc a stats dict; a refactor that drops one of these fails here
+instead of only in the benchmark's own, slower suite.
 """
 
 import importlib.util
@@ -20,10 +21,9 @@ def _load_tracer():
     return module
 
 
-def test_tracer_and_pass_counter_hook_a_fern_solve(tmp_path, capsys):
-    roster = str(tmp_path / "roster.csv")
-    assert cli.main(["generate", "--preset", "d3", "--n", "40",
-                     "--out", roster]) == 0
+def _traced(argv):
+    """cli.main(argv) under the installed Tracer and PassCounter, as
+    bench/run.py installs them; returns (status, span names, passes)."""
     tracer_module = _load_tracer()
     counter, tracer = tracer_module.PassCounter(), tracer_module.Tracer()
     try:
@@ -32,13 +32,34 @@ def test_tracer_and_pass_counter_hook_a_fern_solve(tmp_path, capsys):
         counter.install()
         tracer.install()
         before = tracer.start_op(0)
-        status = cli.main(["solve", "--method", "fern", "--roster", roster,
-                           "--assignment-out", str(tmp_path / "teams.csv")])
+        status = cli.main(argv)
         tracer.stop_op(before)
     finally:
         tracer.uninstall()
         counter.uninstall()
+    return status, {s[0] for s in tracer.spans}, counter.passes
+
+
+def test_tracer_and_pass_counter_hook_a_fern_solve(tmp_path, capsys):
+    roster = str(tmp_path / "roster.csv")
+    assert cli.main(["generate", "--preset", "d3", "--n", "40",
+                     "--out", roster]) == 0
+    status, spans, passes = _traced(
+        ["solve", "--method", "fern", "--roster", roster,
+         "--assignment-out", str(tmp_path / "teams.csv")])
     capsys.readouterr()
     assert status == 0
-    assert "refine.SolverState.gain_matrix" in {s[0] for s in tracer.spans}
-    assert counter.passes >= 1
+    assert "refine.SolverState.gain_matrix" in spans
+    assert passes >= 1
+
+
+def test_tracer_hooks_an_experiment(tmp_path, capsys):
+    # grid_small's per-layer metrics read these spans
+    status, spans, _ = _traced(
+        ["experiment", "--preset", "d3", "--n", "40", "--seeds", "0",
+         "--methods", "fern,gmbf,random,umeans", "--reps", "2",
+         "--out", str(tmp_path / "metrics.csv")])
+    capsys.readouterr()
+    assert status == 0
+    assert {"harness.write_metrics_csv", "harness.solve_instance",
+            "baselines.uniform_kmeans"} <= spans

@@ -267,6 +267,24 @@ class TestEvaluate:
                      "--assignment", teams]) == 1
         assert f"{teams}:3: team_id out of range" in capsys.readouterr().err
 
+    def test_negative_one_is_a_team_id(self, tmp_path, capsys):
+        roster = _write(tmp_path, "quad.csv", QUAD_ROSTER)
+        teams = _write(tmp_path, "teams.csv",
+                       "student_id,team_id\na,-1\nb,-1\nc,-1\nd,-7\n")
+        assert main(["evaluate", "--roster", roster,
+                     "--assignment", teams]) == 0
+        _, rows = _parse_csv(capsys.readouterr().out)
+        assert int(rows[0]["l_final"]) == 2
+
+    def test_duplicate_after_negative_one(self, tmp_path, capsys):
+        roster = _write(tmp_path, "quad.csv", QUAD_ROSTER)
+        teams = _write(tmp_path, "teams.csv", "student_id,team_id\na,-1\n"
+                       "a,0\nb,0\nc,1\nd,1\n")
+        assert main(["evaluate", "--roster", roster,
+                     "--assignment", teams]) == 1
+        assert f"{teams}:3: duplicate student_id 'a'" in \
+            capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_values_cli_overrides(self, tmp_path, capsys):
@@ -355,6 +373,31 @@ def test_negative_seed(tmp_path, capsys, argv, code):
     assert main([paths.get(arg, arg) for arg in argv]) == code
     err = capsys.readouterr().err
     assert ("error: seeds must be non-negative, got -1" in err) == bool(code)
+
+
+@pytest.mark.parametrize("where", ["start", "field"])
+@pytest.mark.parametrize("reader", ["roster", "assignment", "config"])
+def test_undecodable_input_is_a_validation_error(tmp_path, capsys, reader,
+                                                 where):
+    texts = {"roster": QUAD_ROSTER, "assignment": QUAD_ASSIGNMENT,
+             "config": "gamma = 1\ndelta = 1\n"}
+    paths = {name: tmp_path / f"{name}.txt" for name in texts}
+    for name, text in texts.items():
+        data = text.encode()
+        if name == reader and where == "start":
+            data = b"\xff\xfe" + data
+        elif name == reader:
+            # blank lines are skipped, so the bad bytes sit in the last
+            # field, well past the first block a reader decodes
+            head, _, last = data[:-1].rpartition(b"\n")
+            data = head + b"\n" * 9000 + last + b"\xff\xfe\n"
+        paths[name].write_bytes(data)
+    assert main(["evaluate", "--roster", str(paths["roster"]),
+                 "--assignment", str(paths["assignment"]),
+                 "--config", str(paths["config"])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {paths[reader]}: ")
 
 
 class TestExperiment:

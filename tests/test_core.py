@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import oracle
 from fairteams import core
 from fairteams.core import (Assignment, TaskSpec, compact_assignment,
-                            compute_benefit_matrix, group_benefits,
-                            individual_benefits, make_instance, objective,
-                            objective_batch, team_skill_sums)
+                            compute_benefit_matrix, make_instance, objective,
+                            objective_batch)
 from fairteams.errors import ValidationError
 from helpers import make_random_instance, make_random_spec, random_partition
 
@@ -22,6 +21,11 @@ def inst_1d(skills, groups=None):
     if groups is None:
         groups = np.zeros(len(skills), dtype=int)
     return make_instance(skills, groups)
+
+
+def breakdown(inst, a, b=None):
+    """objective() of a under requirement 2 per skill, gamma = delta = 1."""
+    return objective(inst, TaskSpec(requirements=np.full(inst.k, 2.0)), a, b=b)
 
 
 class TestBenefitMatrix:
@@ -84,30 +88,36 @@ class TestIndividualBenefit:
         inst = inst_1d([0.2, 0.5, 0.1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0])
-        assert individual_benefits(b, a)[0] == 0.5
+        assert breakdown(inst, a, b).individual[0] == 0.5
 
     def test_singleton_is_zero(self):
         inst = inst_1d([0.2, 0.5, 0.1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 1, 1])
-        assert individual_benefits(b, a)[0] == 0.0
+        assert breakdown(inst, a, b).individual[0] == 0.0
 
     def test_all_teammates_benefit(self):
         inst = inst_1d([0.1, 0.5, 0.6, 0.7])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0, 0])
-        assert individual_benefits(b, a)[0] == 1.0
+        assert breakdown(inst, a, b).individual[0] == 1.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             inst = make_random_instance(rng)
-            n_teams = int(rng.integers(1, inst.n))
-            a = random_partition(rng, inst.n, n_teams)
-            b = compute_benefit_matrix(inst, 0.0)
-            want = oracle.individual_benefits(b, a.team_of)
-            got = individual_benefits(b, a)
-            assert np.allclose(got, want, atol=1e-12)
+            spec = make_random_spec(rng, inst.k)
+            b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+            labels = np.stack([
+                random_partition(rng, inst.n,
+                                 int(rng.integers(1, inst.n))).team_of
+                for _ in range(3)])
+            batch = objective_batch(inst, spec, b, labels)
+            for row, got in zip(labels, batch.individual):
+                one = objective(inst, spec, Assignment(row), b=b)
+                assert got.tobytes() == one.individual.tobytes()
+                want = oracle.individual_benefits(b, row)
+                assert np.allclose(got, want, atol=1e-12)
 
 
 class TestGroupBenefit:
@@ -118,22 +128,23 @@ class TestGroupBenefit:
             [0, 1, 1, 0, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0, 1, 1])
-        ind = individual_benefits(b, a)
-        assert ind[0] == 0.5
-        assert ind[3] == 1.0
-        assert group_benefits(b, a, inst)[0] == pytest.approx(0.75)
+        got = breakdown(inst, a, b)
+        assert got.individual[0] == 0.5
+        assert got.individual[3] == 1.0
+        assert got.group_benefits[0] == pytest.approx(0.75)
 
     def test_all_singletons_zero(self):
         inst = inst_1d([0.1, 0.4, 0.9], [0, 0, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 1, 2])
-        assert group_benefits(b, a, inst).tolist() == [0.0, 0.0]
+        assert breakdown(inst, a, b).group_benefits.tolist() == [0.0, 0.0]
 
     def test_one_member_group(self):
         inst = inst_1d([0.2, 0.5, 0.1], [0, 0, 1])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0])
-        assert group_benefits(b, a, inst)[1] == individual_benefits(b, a)[2]
+        got = breakdown(inst, a, b)
+        assert got.group_benefits[1] == got.individual[2]
 
 
 def deficiency(inst, a, requirements):
@@ -159,7 +170,7 @@ class TestSkillDeficiency:
                            [1.0, 1.0], [1.0, 1.0]])
         inst = make_instance(skills, [0] * 5)
         a = Assignment([0, 0, 0, 1, 1])
-        assert np.allclose(team_skill_sums(inst, a),
+        assert np.allclose(breakdown(inst, a).team_sums,
                            [[2.5, 1.0], [2.0, 2.0]])
         assert deficiency(inst, a, [2.0, 2.0]) == pytest.approx(0.25)
 
@@ -180,7 +191,7 @@ class TestSkillDeficiency:
 
 def benefit_terms(inst, a, b):
     """(y, z) terms of the objective for a precomputed benefit matrix."""
-    got = objective(inst, TaskSpec(requirements=np.full(inst.k, 2.0)), a, b=b)
+    got = breakdown(inst, a, b)
     return got.y, got.z
 
 
@@ -200,7 +211,7 @@ class TestAverageBenefit:
         inst = inst_1d([0.1, 0.5, 0.9])
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment([0, 0, 0])
-        assert individual_benefits(b, a).tolist() == [1.0, 0.5, 0.0]
+        assert breakdown(inst, a, b).individual.tolist() == [1.0, 0.5, 0.0]
         assert benefit_terms(inst, a, b)[0] == pytest.approx(0.5)
 
 
@@ -220,7 +231,7 @@ class TestGroupVariance:
         inst = inst_1d(skills, groups)
         b = compute_benefit_matrix(inst, 0.0)
         a = Assignment(teams)
-        assert np.allclose(group_benefits(b, a, inst), [0.2, 0.4])
+        assert np.allclose(breakdown(inst, a, b).group_benefits, [0.2, 0.4])
         assert benefit_terms(inst, a, b)[1] == pytest.approx(0.01, abs=1e-12)
 
     def test_single_group_zero(self):
@@ -236,7 +247,7 @@ class TestGroupVariance:
             inst = make_random_instance(rng, m=3)
             b = compute_benefit_matrix(inst, 0.0)
             a = random_partition(rng, inst.n, int(rng.integers(1, inst.n)))
-            g = group_benefits(b, a, inst)
+            g = breakdown(inst, a, b).group_benefits
             want = float(np.mean((g - g.mean()) ** 2))
             assert benefit_terms(inst, a, b)[1] == pytest.approx(
                 want, abs=1e-12)
@@ -325,6 +336,9 @@ class TestObjectiveBatch:
             one = objective(inst, spec, compact_assignment(row), b=b)
             want = np.array([one.x, one.y, one.z, one.f])
             assert got[p].tobytes() == want.tobytes(), (p, got[p], want)
+            assert batch.individual[p].tobytes() == one.individual.tobytes()
+            assert batch.individual[p].tolist() == \
+                oracle.individual_benefits(b, row)
 
     def test_wide_rows_match_objective_bit_for_bit(self):
         # N >= 256 stores compacted labels as uint16 inside the kernel; the
@@ -351,7 +365,8 @@ class TestObjectiveBatch:
                 one = objective(inst, spec, assignment, b=b)
                 want = np.array([one.x, one.y, one.z, one.f])
                 assert got[p].tobytes() == want.tobytes(), (n, p)
-                ind = individual_benefits(b, assignment)
+                ind = batch.individual[p]
+                assert ind.tobytes() == one.individual.tobytes()
                 assert ind.tolist() == oracle.individual_benefits(b, row)
 
 
@@ -375,8 +390,9 @@ class TestObjectiveBatch:
             one = objective(inst, spec, assignment, b=b)
             want = np.array([one.x, one.y, one.z, one.f])
             assert got[p].tobytes() == want.tobytes(), (n, p)
+            ind = batch.individual[p]
+            assert ind.tobytes() == one.individual.tobytes()
             if p < 12:
-                ind = individual_benefits(b, assignment)
                 assert ind.tolist() == oracle.individual_benefits(b, row)
 
     def test_compaction_matches_unique_inverse(self):
@@ -481,7 +497,7 @@ class TestObjectiveInvariants:
             inst = make_random_instance(rng)
             a = random_partition(rng, inst.n, int(rng.integers(1, inst.n)))
             r = rng.random(inst.k) * 2
-            sums = team_skill_sums(inst, a)
+            sums = breakdown(inst, a).team_sums
             all_met = bool(np.all(sums >= r))
             assert (deficiency(inst, a, r) == 0.0) == all_met
 
@@ -495,7 +511,7 @@ class TestObjectiveInvariants:
             got = objective(inst, spec, a, b=b)
             assert 0.0 <= got.y <= 1.0
             assert 0.0 <= got.z <= 0.25 + 1e-12
-            g = group_benefits(b, a, inst)
+            g = got.group_benefits
             assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
 
@@ -528,7 +544,7 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             TaskSpec(requirements=[1.0], gamma=-0.5)
         spec = TaskSpec(requirements=[1.0, 2.0])
-        assert spec.k == 2
+        assert spec.requirements.shape == (2,)
 
     @pytest.mark.parametrize("kwargs", [
         {"requirements": [1.0, np.nan]},

@@ -109,14 +109,6 @@ class TestGenerateDataset:
         assert np.array_equal(a.skills, b.skills)
         assert not np.array_equal(a.skills, c.skills)
 
-    def test_custom_labels(self):
-        config = DatasetConfig(skill_dims=1, groups=(
-            GroupGenSpec(count=2, alpha=1.0, beta=1.0),
-            GroupGenSpec(count=2, alpha=1.0, beta=1.0)),
-            group_labels=("math", "csci"))
-        inst = generate_dataset(config, seed=0)
-        assert inst.group_labels == ("math", "csci")
-
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             GroupGenSpec(count=0, alpha=1.0, beta=1.0)
@@ -127,10 +119,6 @@ class TestGenerateDataset:
                 GroupGenSpec(count=3, alpha=1.0, beta=1.0),))
         with pytest.raises(ValidationError):
             DatasetConfig(skill_dims=2, groups=())
-        with pytest.raises(ValidationError):
-            DatasetConfig(skill_dims=2, groups=(
-                GroupGenSpec(count=3, alpha=1.0, beta=1.0),),
-                group_labels=("a", "b"))
 
 
 class TestPresets:

@@ -121,8 +121,6 @@ class TestExperimentConfig:
 
     def test_label_precedence(self, tmp_path):
         assert ExperimentConfig(seeds=(0,), preset="d2").label == "d2"
-        assert ExperimentConfig(seeds=(0,), preset="d2",
-                                dataset_name="pilot").label == "pilot"
         roster = str(tmp_path / "fall_2024.csv")
         assert ExperimentConfig(seeds=(0,), preset=None,
                                 roster=roster).label == "fall_2024"
@@ -347,6 +345,13 @@ class TestMetricsCsv:
                                   Assignment(np.array([0, 1])))
         with pytest.raises(ValidationError):
             metrics_csv_text([rec_a, rec_b])
+
+    def test_rejected_records_leave_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"earlier,run\n")
+        with pytest.raises(ValidationError):
+            write_metrics_csv([], path)
+        assert path.read_bytes() == b"earlier,run\n"
 
     def test_writes_file_and_text_identically(self, tmp_path):
         result = run_experiment(ExperimentConfig(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from fairteams.core import TaskSpec, compute_benefit_matrix, make_instance, team_skill_sums
+from fairteams.core import TaskSpec, compute_benefit_matrix, make_instance, objective
 from fairteams.errors import ValidationError
 from fairteams.initial import gmbf, lmbf, lmbff, random_init
 from helpers import make_random_instance
@@ -50,7 +50,7 @@ class TestGmbf:
             spec = TaskSpec(requirements=rng.random(inst.k) * 2.5)
             b = compute_benefit_matrix(inst, 0.0)
             assignment = gmbf(inst, spec, b)
-            sums = team_skill_sums(inst, assignment)
+            sums = objective(inst, spec, assignment, b=b).team_sums
             met = np.all(sums >= spec.requirements - 1e-12, axis=1)
             assert met[:-1].all()
 
