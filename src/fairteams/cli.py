@@ -34,12 +34,11 @@ from .refine import RefineConfig
 
 def _parse_requirements(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ValidationError(
             f"requirements must be comma-separated numbers, got {text!r}"
         ) from None
-    return values
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -139,7 +138,10 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValidationError(f"{path}:{line_no}: duplicate key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -144,11 +144,11 @@ def save_roster(instance: Instance, path) -> None:
 
 
 def open_text(path) -> io.StringIO:
-    """The text file at path, read whole and split into lines as
-    open(path, newline="") splits them; undecodable bytes raise
-    ValidationError naming the file."""
+    """The UTF-8 text file at path (a leading byte-order mark is skipped),
+    read whole and split into lines as open(path, newline="") splits them;
+    undecodable bytes raise ValidationError naming the file."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -193,25 +193,21 @@ def default_spec(k: int) -> TaskSpec:
     return TaskSpec(requirements=np.full(k, 2.0))
 
 
-def _mean_record(rows: list[MetricsRecord], seed: int | str) -> MetricsRecord:
+def _mean_record(rows: list[MetricsRecord], seed: int | str,
+                 se: bool = False) -> MetricsRecord:
+    """rows[0] with every metric replaced by its mean over rows (with se,
+    by its standard error)."""
     values = np.array([r.metric_values() for r in rows])
-    mean = values.mean(axis=0)
+    if not se:
+        stat = values.mean(axis=0)
+    elif len(rows) > 1:
+        stat = values.std(axis=0, ddof=1) / np.sqrt(len(rows))
+    else:
+        stat = np.zeros(values.shape[1])
     base = len(METRIC_COLUMNS)
     return replace(rows[0], seed=seed,
-                   **dict(zip(METRIC_COLUMNS, mean[:base])),
-                   gben_pct=tuple(mean[base:]))
-
-
-def _se_record(rows: list[MetricsRecord]) -> MetricsRecord:
-    values = np.array([r.metric_values() for r in rows])
-    if len(rows) > 1:
-        se = values.std(axis=0, ddof=1) / np.sqrt(len(rows))
-    else:
-        se = np.zeros(values.shape[1])
-    base = len(METRIC_COLUMNS)
-    return replace(rows[0], seed="se",
-                   **dict(zip(METRIC_COLUMNS, se[:base])),
-                   gben_pct=tuple(se[base:]))
+                   **dict(zip(METRIC_COLUMNS, stat[:base])),
+                   gben_pct=tuple(stat[base:]))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -255,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for method in sorted(set(r.method for r in records)):
         rows = [r for r in records if r.method == method]
         aggregates.append(_mean_record(rows, "mean"))
-        aggregates.append(_se_record(rows))
+        aggregates.append(_mean_record(rows, "se", se=True))
     return ExperimentResult(tuple(records), tuple(aggregates),
                             tuple(failures))
 

@@ -135,13 +135,9 @@ def random_init(n_students: int, team_count: int,
     if not 1 <= team_count <= n_students:
         raise ValidationError(
             f"team count must be in [1, {n_students}], got {team_count}")
-    rng = as_rng(rng)
-    order = rng.permutation(n_students)
-    base, extra = divmod(n_students, team_count)
+    sizes = np.full(team_count, n_students // team_count)
+    sizes[:n_students % team_count] += 1
     team_of = np.empty(n_students, dtype=np.int64)
-    start = 0
-    for team in range(team_count):
-        size = base + (1 if team < extra else 0)
-        team_of[order[start:start + size]] = team
-        start += size
+    team_of[as_rng(rng).permutation(n_students)] = np.repeat(
+        np.arange(team_count), sizes)
     return Assignment(team_of)

@@ -8,28 +8,27 @@ Two refiners over the single-student move neighborhood:
   of the move sequence with the largest summed gain if that sum clears the
   gain threshold; otherwise the pass is discarded and refinement stops.
 
-Both take the row-major first maximum of the (N, slots) gain matrix, so
-ties go to the lower student, then the lower destination.
+Both take the row-major first maximum of the gain matrix, so ties go to the
+lower student, then the lower destination.
 
-The gain of moving student x from team s to team d is f(before) - f(after),
-computed incrementally from cached team sums, benefit counts, and group
-benefit sums. Terms that depend on d alone are cached per column, so a move
-refreshes only columns s and d; the O(N (m + k)) row terms of what x's
-source loses are recomputed per call. Each cell takes the same floating-point
+The gain of moving student x to team d is f(before) - f(after). SolverState
+caches, per (x, d) cell, every term that does not depend on the global sums;
+a move refreshes the two columns and the rows of the two teams it touches,
+and gain_matrix adds the global sums. Each cell takes the same floating-point
 operations in the same order as a full recompute: gains are bit-identical.
-SolverState.gain_matrix is the only copy of this formula: gain(x, d) is one
-cell of it, and a singleton merge takes the first maximum of x's row.
+gain_matrix is the only copy of this formula: gain(x, d) is one of its cells,
+and a singleton merge takes the first maximum of x's row.
 
 A move that empties its source team drops that team from the objective's
 normalizer and from the destination set; no move may create a new team.
-After refinement, post-processing removes empty slots and merges
-singleton teams into whichever team yields the lowest objective, repeating
-the climb if a merge opened new improving moves, so the final assignment is
-single-move stable and singleton-free.
+After refinement, singleton teams are merged into whichever team yields the
+lowest objective, and the climb repeats if a merge opened new improving
+moves, so the final assignment is single-move stable and singleton-free.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,31 @@ class RefineConfig:
 
 
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
-    """Per-team squared shortfall, summed over skills. sums: (..., k)."""
-    return (np.maximum(requirements - sums, 0.0) ** 2).sum(axis=-1)
+    """Per-team squared shortfall summed over skills, in numpy's order;
+    sums: (k, ...), one plane per skill."""
+    short = np.maximum((requirements - sums.T).T, 0.0)
+    return _pairwise_sum(list(np.square(short, out=short)))
+
+
+def _individual(own: np.ndarray, n_team: np.ndarray) -> np.ndarray:
+    """Share of its n_team - 1 teammates that a student benefits from."""
+    return np.where(n_team > 1, own / np.maximum(n_team - 1, 1.0), 0.0)
+
+
+def _group_change(own, sizes, benefit_to, src_delta, benefit_vs, ind,
+                  in_group) -> np.ndarray:
+    """D_q of a block of moves from arguments that broadcast to it: the
+    destination's members (benefit sum own, sizes) gain the mover, the source
+    team changes by src_delta, and the mover's own benefit joins in_group."""
+    sizes_safe = np.maximum(sizes, 1.0)
+    d = own + benefit_to
+    d /= sizes_safe
+    d -= own / np.maximum(sizes - 1, 1.0)
+    d += src_delta
+    mover = benefit_vs / sizes_safe
+    mover -= ind
+    np.add(d, mover, out=d, where=in_group)
+    return d
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -74,181 +96,173 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 
 class SolverState:
-    """Mutable assignment plus every cache the gain formulas need.
+    """Mutable assignment plus every cache the gain formula needs.
 
     Team slots are fixed at construction; a slot that empties goes inactive
-    and never comes back (moves into empty slots are not generated). The
-    exposed assignment() compacts the surviving slots. Column l of the gain
-    caches _new_ind (N, slots), _dest_delta (m, N, slots; group-major) and
-    _def_dest_new (N, slots) depends on slot l alone, so apply() refreshes
-    two columns and gain_matrix() adds the per-student row terms.
-    gain_matrix() holds the only gain formula; gain() reads one cell of it.
+    and never comes back. Per-group arrays are group-major and per-skill
+    arrays skill-major. Cell (i, l) caches what does not depend on the global
+    sums: D_q, the change of group q's benefit sum when student i moves to
+    slot l (_group_delta, (m, N, slots)), and slot l's deficiency with i
+    added (_def_dest_new). Row i caches what i's own team loses (_src_delta,
+    (m, N); _def_src_new). A cell depends only on slot l and on i's team.
     """
 
     def __init__(self, instance: Instance, spec: TaskSpec, b: np.ndarray,
                  team_of: np.ndarray, n_slots: int):
-        self.inst = instance
-        self.spec = spec
-        self.b = b
-        self.team_of = np.ascontiguousarray(team_of, dtype=np.int64).copy()
-        self.n_slots = int(n_slots)
-        self._group_one_hot = np.zeros((instance.n, instance.m))
-        self._group_one_hot[np.arange(instance.n), instance.groups] = 1.0
-        self._rebuild()
+        self.inst, self.spec, self.b = instance, spec, b
+        self.team_of = np.array(team_of, dtype=np.int64)
+        self.n_slots = s = int(n_slots)
+        n, m, k = instance.n, instance.m, instance.k
+        self._in_group = instance.groups == np.arange(m)[:, None]
+        self._skills = np.ascontiguousarray(instance.skills.T)
+
+        # float counts: the divisions by team sizes need no casts
+        self.sizes = np.bincount(self.team_of, minlength=s).astype(float)
+        self.active = self.sizes > 0
+        self.n_active = int(self.active.sum())
+        self.members = [[] for _ in range(s)]  # ascending student ids
+        for student, slot in enumerate(self.team_of.tolist()):
+            self.members[slot].append(student)
+        self.sums = np.zeros((k, s))
+        np.add.at(self.sums.T, self.team_of, instance.skills)
+        self.defic = np.where(
+            self.active, _deficiency(self.sums, spec.requirements), 0.0)
+        self.defic_total = float(self.defic.sum())
+
+        membership = np.zeros((n, s))
+        membership[np.arange(n), self.team_of] = 1.0
+        # benefit_vs_team[i, l]: teammates-of-l that student i benefits from
+        self.benefit_vs_team = b @ membership
+        # benefit_to_team[q, i, l]: group-q members of team l benefiting from i
+        self.benefit_to_team = np.ascontiguousarray(np.einsum(
+            "ji,jl,qj->qil", b, membership, self._in_group, optimize=True))
+        rows, n_team = np.arange(n), self.sizes[self.team_of]
+        own = self.benefit_vs_team[rows, self.team_of]
+        self.ind = _individual(own, n_team)
+        self.ind_total = float(self.ind.sum())
+        self.group_counts = np.bincount(
+            instance.groups, minlength=m).astype(float)
+        self.group_sums = np.bincount(
+            instance.groups, weights=self.ind, minlength=m)
+        # own_by_group[q, l]: benefit_vs_team[:, l] summed over l's group q
+        self.own_by_group = np.zeros((m, s))
+        np.add.at(self.own_by_group, (instance.groups, self.team_of), own)
+        self._src_delta, self._def_src_new = np.empty((m, n)), np.empty(n)
+        self._group_delta = np.empty((m, n, s))
+        self._def_dest_new = np.empty((n, s))
+        self._refresh(rows, np.arange(s), self.team_of, n_team, own)
 
     @classmethod
     def from_assignment(cls, instance: Instance, spec: TaskSpec,
                         b: np.ndarray, assignment: Assignment) -> "SolverState":
         return cls(instance, spec, b, assignment.team_of, assignment.n_teams)
 
-    def _rebuild(self):
-        inst, n, s = self.inst, self.inst.n, self.n_slots
-        self.sizes = np.bincount(self.team_of, minlength=s).astype(np.int64)
-        self.active = self.sizes > 0
-        self.n_active = int(self.active.sum())
-        self.sums = np.zeros((s, inst.k))
-        np.add.at(self.sums, self.team_of, inst.skills)
-        self.defic = np.where(
-            self.active, _deficiency(self.sums, self.spec.requirements), 0.0)
-        self.defic_total = float(self.defic.sum())
+    def _refresh(self, rows, cols, src, n_src, own_vs_src):
+        """Recompute the row terms and cells of rows (src, n_src, own_vs_src:
+        their team, its size, how many in it they benefit from) and of cols."""
+        # what each student leaves behind: its team's change per group ...
+        left = (self.own_by_group.take(src, 1)
+                - self._in_group.take(rows, 1) * own_vs_src)
+        old = left / np.maximum(n_src - 1, 1.0)
+        new = ((left - self.benefit_to_team[:, rows, src])
+               / np.maximum(n_src - 2, 1.0))
+        self._src_delta[:, rows] = src_delta = np.where(
+            n_src >= 3, new - old, np.where(n_src == 2, -old, 0.0))
+        # ... and its team's deficiency without it
+        self._def_src_new[rows] = np.where(n_src == 1, 0.0, _deficiency(
+            self.sums.take(src, 1) - self._skills.take(rows, 1),
+            self.spec.requirements))
 
-        membership = np.zeros((n, s))
-        membership[np.arange(n), self.team_of] = 1.0
-        # benefit_vs_team[i, l]: teammates-of-l that student i benefits from
-        self.benefit_vs_team = self.b @ membership
-        # benefit_to_team[i, l, q]: group-q members of team l benefiting from i
-        self.benefit_to_team = np.einsum(
-            "ji,jl,jq->ilq", self.b, membership, self._group_one_hot,
-            optimize=True)
-
-        own = self.benefit_vs_team[np.arange(n), self.team_of]
-        mates = self.sizes[self.team_of] - 1
-        self.ind = np.where(mates > 0, own / np.maximum(mates, 1), 0.0)
-        self.ind_total = float(self.ind.sum())
-        self.group_counts = np.bincount(inst.groups, minlength=inst.m)
-        self.group_sums = np.bincount(
-            inst.groups, weights=self.ind, minlength=inst.m)
-        # own_by_group[l, q]: sum of benefit_vs_team[j, l] over team-l members
-        # of group q
-        self.own_by_group = np.zeros((s, inst.m))
-        np.add.at(self.own_by_group, (self.team_of, inst.groups), own)
-        self._new_ind = np.empty((n, s))
-        self._dest_delta = np.empty((inst.m, n, s))
-        self._def_dest_new = np.empty((n, s))
-        self._refresh_columns(slice(None))
-
-    def _refresh_columns(self, cols):
-        """Recompute the gain terms that depend on destination slots cols."""
-        sizes = self.sizes[cols]
-        sizes_safe = np.maximum(sizes, 1)
-        own = self.own_by_group[cols]
-        # mover's individual benefit after joining slot l
-        self._new_ind[:, cols] = self.benefit_vs_team[:, cols] / sizes_safe
-        # change of slot l's members' benefit per group, stored group-major
-        old_dest = own / np.maximum(sizes - 1, 1)[:, None]
-        new_dest = (own[None] + self.benefit_to_team[:, cols]) \
-            / sizes_safe[None, :, None]
-        self._dest_delta[:, :, cols] = np.moveaxis(
-            new_dest - old_dest[None], 2, 0)
-        # slot l's deficiency after the mover joins
+        own, sizes = self.own_by_group, self.sizes
+        block = _group_change(
+            own[:, None], sizes, self.benefit_to_team.take(rows, 1),
+            src_delta[:, :, None], self.benefit_vs_team.take(rows, 0),
+            self.ind.take(rows)[:, None],
+            self._in_group.take(rows, 1)[:, :, None])
+        self._group_delta[:, rows] = block
+        # the columns slot-major, (m, C, N): each array pass runs along N
+        block = _group_change(
+            own[:, cols, None], sizes[cols, None],
+            self.benefit_to_team[:, :, cols].transpose(0, 2, 1).copy(),
+            self._src_delta[:, None], self.benefit_vs_team[:, cols].T.copy(),
+            self.ind, self._in_group[:, None])
+        self._group_delta[:, :, cols] = block.transpose(0, 2, 1)
         self._def_dest_new[:, cols] = _deficiency(
-            self.sums[cols][None, :, :] + self.inst.skills[:, None, :],
-            self.spec.requirements)
+            self.sums[:, cols, None] + self._skills[:, None],
+            self.spec.requirements).T
 
     def clone(self) -> "SolverState":
         other = object.__new__(SolverState)
-        other.inst, other.spec, other.b = self.inst, self.spec, self.b
-        other.n_slots = self.n_slots
-        other._group_one_hot = self._group_one_hot
+        other.__dict__.update(self.__dict__)  # scalars and shared arrays
         for name in ("team_of", "sizes", "active", "sums", "defic",
-                     "benefit_vs_team", "benefit_to_team", "ind",
-                     "group_sums", "own_by_group", "_new_ind",
-                     "_dest_delta", "_def_dest_new"):
+                     "benefit_vs_team", "benefit_to_team", "ind", "group_sums",
+                     "own_by_group", "_src_delta", "_def_src_new",
+                     "_group_delta", "_def_dest_new"):
             setattr(other, name, getattr(self, name).copy())
-        other.n_active = self.n_active
-        other.defic_total = self.defic_total
-        other.ind_total = self.ind_total
-        other.group_counts = self.group_counts
+        other.members = [list(team) for team in self.members]
         return other
 
     def objective(self) -> ObjectiveBreakdown:
         inst, spec = self.inst, self.spec
         x = self.defic_total / (self.n_active * inst.k)
         y = self.ind_total / inst.n
-        z = float((self.group_sums / self.group_counts).var())
+        means = self.group_sums / self.group_counts  # np.var, unwrapped
+        spread = means - np.add.reduce(means) / inst.m
+        z = float(np.add.reduce(np.square(spread)) / inst.m)
         return ObjectiveBreakdown(x=x, y=y, z=z, f=x - spec.gamma * y + spec.delta * z)
 
     def assignment(self) -> Assignment:
         return compact_assignment(self.team_of)
 
     def gain_matrix(self, locked: np.ndarray | None = None) -> np.ndarray:
-        """(N, n_slots) gains for every candidate move; -inf where invalid.
-
-        Invalid: the student's own team, inactive slots, and the students
-        set in the bool mask locked, whose rows are not computed at all.
-        """
+        """(n_live, n_slots) gains of the students not set in the bool mask
+        locked, in ascending student order; -inf where invalid (the
+        student's own team, inactive slots)."""
         inst, spec = self.inst, self.spec
-        n, m, k = inst.n, inst.m, inst.k
-        live = slice(None) if locked is None else np.flatnonzero(~locked)
-        rows = np.arange(n)[live]
-        src = self.team_of[live]
-        n_src = self.sizes[src]
-        own_vs_src = self.benefit_vs_team[rows, src]
-        d_mover = self._new_ind[live] - self.ind[live, None]
+        n, m = inst.n, inst.m
+        live = np.arange(n) if locked is None else np.flatnonzero(~locked)
+        src = self.team_of.take(live)
+        empties = self.sizes.take(src) == 1
 
-        # teammates left behind, split by group (independent of destination)
-        left_base = (self.own_by_group[src]
-                     - self._group_one_hot[live] * own_vs_src[:, None])
-        old_src = left_base / np.maximum(n_src - 1, 1)[:, None]
-        to_src = self.benefit_to_team[rows, src]
-        new_src = (left_base - to_src) / np.maximum(n_src - 2, 1)[:, None]
-        src_delta = np.where(
-            (n_src >= 3)[:, None], new_src - old_src,
-            np.where((n_src == 2)[:, None], -old_src, 0.0))
+        # the new benefit sum, each group's new mean benefit, and z
+        g = self._group_delta.take(live, 1)
+        y_new = _pairwise_sum(list(g)) + self.ind_total
+        g += self.group_sums[:, None, None]
+        g /= self.group_counts[:, None, None]
+        mean = _pairwise_sum(list(g)) / m
+        g -= mean
+        z_new = _pairwise_sum(list(np.square(g, out=g)))
+        z_new /= m
+        y_new /= n
 
-        # per group: change of the group's benefit sum, and its new mean
-        d_group, new_gben = [], []
-        for q in range(m):
-            d = self._dest_delta[q][live] + src_delta[:, q, None]
-            np.add(d, d_mover, out=d, where=(inst.groups[live] == q)[:, None])
-            d_group.append(d)
-            new_gben.append((self.group_sums[q] + d) / self.group_counts[q])
-        y_new = (self.ind_total + _pairwise_sum(d_group)) / n
-        mean = _pairwise_sum(new_gben) / m
-        z_new = _pairwise_sum([np.square(g - mean, out=g)
-                               for g in new_gben]) / m
+        x_new = np.subtract(
+            (self.defic_total - self.defic.take(src))[:, None], self.defic)
+        x_new += self._def_src_new.take(live)[:, None]
+        x_new += self._def_dest_new.take(live, 0)
+        x_new /= ((self.n_active - empties) * float(inst.k))[:, None]
 
-        empties = n_src == 1
-        def_src_new = np.where(
-            empties, 0.0,
-            _deficiency(self.sums[src] - inst.skills[live], spec.requirements))
-        defic_new = (self.defic_total - self.defic[src][:, None] - self.defic
-                     + def_src_new[:, None] + self._def_dest_new[live])
-        x_new = defic_new / ((self.n_active - empties)[:, None] * k)
-
-        f_new = x_new - spec.gamma * y_new + spec.delta * z_new
-        gains = self.objective().f - f_new
+        # gains = f - (x_new - gamma * y_new + delta * z_new)
+        y_new *= spec.gamma
+        x_new -= y_new
+        z_new *= spec.delta
+        x_new += z_new
+        gains = np.subtract(self.objective().f, x_new, out=x_new)
         gains[:, ~self.active] = -np.inf
-        gains[np.arange(gains.shape[0]), src] = -np.inf
-        if locked is None:
-            return gains
-        full = np.full((n, self.n_slots), -np.inf)
-        full[live] = gains
-        return full
+        gains[np.arange(live.size), src] = -np.inf
+        return gains
 
     def gain(self, student: int, dest: int) -> float:
-        """Single-move gain: that cell of gain_matrix with every other
-        student locked."""
+        """Single-move gain: gain_matrix with every other student locked."""
         if dest == self.team_of[student]:
             raise ValidationError("self-moves have no gain")
         if not (0 <= dest < self.n_slots) or not self.active[dest]:
             raise ValidationError(f"destination team {dest} does not exist")
         locked = np.ones(self.inst.n, dtype=bool)
         locked[student] = False
-        return float(self.gain_matrix(locked)[student, dest])
+        return float(self.gain_matrix(locked)[0, dest])
 
     def apply(self, student: int, dest: int):
-        """Move the student and refresh the caches in O(N (m + k))."""
+        """Move the student; refresh two columns and two teams' rows."""
         inst = self.inst
         src = int(self.team_of[student])
         if dest == src:
@@ -256,80 +270,75 @@ class SolverState:
         if not self.active[dest]:
             raise ValidationError(f"destination team {dest} does not exist")
         g = int(inst.groups[student])
+        pair = np.array([src, dest])
 
-        self.sums[src] -= inst.skills[student]
-        self.sums[dest] += inst.skills[student]
+        self.sums[:, src] -= self._skills[:, student]
+        self.sums[:, dest] += self._skills[:, student]
         self.sizes[src] -= 1
         self.sizes[dest] += 1
-        self.defic_total -= self.defic[src] + self.defic[dest]
+        self.members[src].remove(student)
+        bisect.insort(self.members[dest], student)
         if self.sizes[src] == 0:
             self.active[src] = False
             self.n_active -= 1
-            self.sums[src] = 0.0
-            self.defic[src] = 0.0
-        else:
-            self.defic[src] = float(
-                _deficiency(self.sums[src], self.spec.requirements))
-        self.defic[dest] = float(
-            _deficiency(self.sums[dest], self.spec.requirements))
+            self.sums[:, src] = 0.0
+        # the row and cell caches already hold both teams' new deficiency
+        self.defic_total -= self.defic[src] + self.defic[dest]
+        self.defic[src] = self._def_src_new[student]
+        self.defic[dest] = self._def_dest_new[student, dest]
         self.defic_total += self.defic[src] + self.defic[dest]
 
+        # integer counts, so these updates are exact
+        self.own_by_group[:, src] -= self.benefit_to_team[:, student, src]
+        self.own_by_group[g, src] -= self.benefit_vs_team[student, src]
+        self.own_by_group[:, dest] += self.benefit_to_team[:, student, dest]
+        self.own_by_group[g, dest] += self.benefit_vs_team[student, dest]
         self.benefit_vs_team[:, src] -= self.b[:, student]
         self.benefit_vs_team[:, dest] += self.b[:, student]
-        self.benefit_to_team[:, src, g] -= self.b[student, :]
-        self.benefit_to_team[:, dest, g] += self.b[student, :]
+        self.benefit_to_team[g, :, src] -= self.b[student]
+        self.benefit_to_team[g, :, dest] += self.b[student]
         self.team_of[student] = dest
 
-        for slot in (src, dest):
-            members = np.flatnonzero(self.team_of == slot)
-            own = self.benefit_vs_team[members, slot]
-            old = self.ind[members]
-            if members.size >= 2:
-                new = own / (members.size - 1)
-            else:
-                new = np.zeros(members.size)
-            self.ind[members] = new
-            delta = new - old
-            self.ind_total += float(delta.sum())
-            np.add.at(self.group_sums, inst.groups[members], delta)
-            row = np.zeros(inst.m)
-            np.add.at(row, inst.groups[members], own)
-            self.own_by_group[slot] = row
-        self._refresh_columns(np.array([src, dest]))
+        # both teams' members, src's first, each in ascending order
+        n_left = len(self.members[src])
+        rows = np.array(self.members[src] + self.members[dest], dtype=np.int64)
+        slots = self.team_of.take(rows)
+        n_team = self.sizes.take(slots)
+        own = self.benefit_vs_team[rows, slots]
+        ind = _individual(own, n_team)
+        delta = ind - self.ind.take(rows)
+        self.ind[rows] = ind
+        self.ind_total += float(np.add.reduce(delta[:n_left]))
+        self.ind_total += float(np.add.reduce(delta[n_left:]))
+        np.add.at(self.group_sums, inst.groups.take(rows), delta)
+        self._refresh(rows, pair, slots, n_team, own)
 
 
 def _best_move(gains: np.ndarray) -> tuple[int, int, float]:
-    """(student, dest, gain) of the largest entry; ties go to the lower
-    student, then the lower destination (row-major first maximum)."""
-    student, dest = divmod(int(np.argmax(gains)), gains.shape[1])
-    return student, dest, float(gains[student, dest])
+    """(row, dest, gain) of the row-major first maximum."""
+    row, dest = divmod(int(np.argmax(gains)), gains.shape[1])
+    return row, dest, float(gains[row, dest])
 
 
 def _merge_singletons(state: SolverState) -> bool:
-    """Move each singleton's student to the team minimizing the objective.
-
-    Lowest singleton slot goes first; destination ties break toward the
-    lower slot id. Returns whether anything changed. A single remaining
-    team is left alone.
-    """
+    """Move each singleton's student, lowest slot first, to the team that
+    minimizes the objective (ties to the lower slot); True if any moved."""
     changed = False
     while state.n_active >= 2:
         single = np.flatnonzero(state.active & (state.sizes == 1))
         if single.size == 0:
             break
-        student = int(np.flatnonzero(state.team_of == single[0])[0])
+        student = state.members[single[0]][0]
         locked = np.ones(state.inst.n, dtype=bool)
         locked[student] = False
-        # first maximum: destination ties go to the lower slot
-        state.apply(student, int(np.argmax(state.gain_matrix(locked)[student])))
+        state.apply(student, int(np.argmax(state.gain_matrix(locked)[0])))
         changed = True
     return changed
 
 
 def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
                 assignment: Assignment) -> Assignment:
-    """Merge each singleton team into its best team. With a lone team, or
-    no singletons, the partition is returned unchanged."""
+    """Merge each singleton team into its best team (a lone team stays)."""
     state = SolverState.from_assignment(instance, spec, b, assignment)
     _merge_singletons(state)
     return state.assignment()
@@ -337,9 +346,8 @@ def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
 
 def _refine(instance: Instance, spec: TaskSpec, b: np.ndarray,
             initial: Assignment, step) -> Assignment:
-    """Run step(state) until it reports no progress, merge singleton teams,
-    and start again if a merge changed anything; merges only ever shrink
-    the team count, so this terminates."""
+    """Run step(state) until no progress, merge singleton teams, and repeat
+    while a merge changes anything (merges only shrink the team count)."""
     state = SolverState.from_assignment(instance, spec, b, initial)
     while True:
         while step(state):
@@ -369,18 +377,16 @@ def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
 
 
 def _fmhc_pass(state: SolverState, config: RefineConfig) -> bool:
-    """One pass: tentatively move every student, commit the best prefix.
-
-    Mutates state only when the prefix gain clears gain_epsilon; otherwise
-    the pre-pass assignment is kept and False is returned.
-    """
+    """One pass: tentatively move every student, then commit the best prefix
+    if its gain clears gain_epsilon; otherwise leave state and return False."""
     work = state.clone()
     locked = np.zeros(state.inst.n, dtype=bool)
     sequence = []
-    while True:
-        student, dest, gain = _best_move(work.gain_matrix(locked))
+    while not locked.all():
+        row, dest, gain = _best_move(work.gain_matrix(locked))
         if gain == -np.inf:
             break
+        student = int(np.flatnonzero(~locked)[row])
         locked[student] = True
         work.apply(student, dest)
         sequence.append((student, dest, gain))

@@ -327,6 +327,21 @@ class TestConfigFile:
                      assignment, "--config", config]) == 1
         assert ":1: expected key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("gamma = 0.5\ndelta = 0\ngamma = 2\n", 3, "gamma"),
+        # the same option spelled both ways
+        ("# x\nbenefit_epsilon = 0\n\nbenefit-epsilon = 0.5\n", 4,
+         "benefit_epsilon"),
+    ])
+    def test_duplicate_config_key(self, tmp_path, capsys, text, line, key):
+        roster = _write(tmp_path, "quad.csv", QUAD_ROSTER)
+        assignment = _write(tmp_path, "teams.csv", QUAD_ASSIGNMENT)
+        config = _write(tmp_path, "run.cfg", text)
+        assert main(["evaluate", "--roster", roster, "--assignment",
+                     assignment, "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {config}:{line}: duplicate key {key!r}"]
+
 
 # one non-default value per option, as typed on the command line
 SAMPLE_VALUES = {
@@ -398,6 +413,25 @@ def test_undecodable_input_is_a_validation_error(tmp_path, capsys, reader,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {paths[reader]}: ")
+
+
+@pytest.mark.parametrize("reader", ["roster", "assignment", "config"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, reader):
+    texts = {"roster": QUAD_ROSTER, "assignment": QUAD_ASSIGNMENT,
+             "config": "gamma = 0.5\n"}
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        paths = {name: tmp_path / f"{name}.txt" for name in texts}
+        for name, text in texts.items():
+            prefix = bom if name == reader else b""
+            paths[name].write_bytes(prefix + text.encode())
+        assert main(["evaluate", "--roster", str(paths["roster"]),
+                     "--assignment", str(paths["assignment"]),
+                     "--config", str(paths["config"])]) == 0
+        header, rows = _parse_csv(capsys.readouterr().out)
+        rows[0].pop("runtime_ms")
+        outputs.append((header, rows))
+    assert outputs[0] == outputs[1]
 
 
 class TestExperiment:

@@ -1,6 +1,7 @@
 """Refinement tests: gain correctness, cache consistency, climber behavior."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ class TestGainCorrectness:
         with pytest.raises(ValidationError):
             state.gain(0, 1)
 
+    def test_locked_rows_equal_full_matrix_rows(self):
+        # gain_matrix(locked) returns the live rows, in student order, bit
+        # for bit as gain_matrix() computes them
+        rng = np.random.default_rng(24)
+        for _ in range(12):
+            inst, spec, b, assignment, state = _random_state(rng)
+            for share in (0.0, 0.5, 0.9, 1.0):
+                full = state.gain_matrix()
+                locked = rng.random(inst.n) < share
+                got = state.gain_matrix(locked)
+                assert got.shape == (inst.n - locked.sum(), state.n_slots)
+                assert got.tobytes() == full[~locked].tobytes()
+                finite = np.argwhere(np.isfinite(full))
+                if len(finite):
+                    i, dest = finite[rng.integers(len(finite))]
+                    state.apply(int(i), int(dest))
+
     def test_self_move_rejected(self):
         rng = np.random.default_rng(23)
         _, _, _, assignment, state = _random_state(rng)
@@ -154,21 +172,34 @@ class TestSolverState:
         assert np.array_equal(state.team_of, assignment.team_of)
 
 
-COLUMN_CACHES = ("_new_ind", "_dest_delta", "_def_dest_new")
+CELL_CACHES = ("_group_delta", "_def_dest_new")
+ROW_CACHES = ("_src_delta", "_def_src_new")
 TEAM_CACHES = ("sizes", "active", "sums", "defic", "benefit_vs_team",
                "benefit_to_team", "ind", "group_sums", "own_by_group")
 
 
+def _full_gains(state, locked):
+    """gain_matrix(locked) spread over all N rows, -inf on locked ones."""
+    if locked is None:
+        return state.gain_matrix()
+    full = np.full((state.inst.n, state.n_slots), -np.inf)
+    full[~locked] = state.gain_matrix(locked)
+    return full
+
+
 def _check_against_fresh(state, locked):
-    """Every cache, and the gains, equal a state rebuilt from team_of."""
+    """Every cache, and the gains, equal a state rebuilt from team_of.
+    Returns the (N, slots) gains, -inf on locked rows."""
     fresh = SolverState(state.inst, state.spec, state.b, state.team_of,
                         state.n_slots)
-    for name in COLUMN_CACHES + TEAM_CACHES:
+    for name in CELL_CACHES + ROW_CACHES + TEAM_CACHES:
         np.testing.assert_allclose(getattr(state, name), getattr(fresh, name),
                                    rtol=0, atol=1e-12, err_msg=name)
     assert state.n_active == fresh.n_active
-    gains = state.gain_matrix(locked)
-    want = fresh.gain_matrix(locked)
+    assert state.members == [np.flatnonzero(state.team_of == slot).tolist()
+                             for slot in range(state.n_slots)]
+    gains = _full_gains(state, locked)
+    want = _full_gains(fresh, locked)
     assert np.array_equal(np.isfinite(gains), np.isfinite(want))
     finite = np.isfinite(want)
     np.testing.assert_allclose(gains[finite], want[finite], rtol=0, atol=1e-9)
@@ -527,6 +558,47 @@ def test_refiners_reproduce_golden_assignments(method):
         got = hashlib.sha256(
             np.ascontiguousarray(team_of, dtype="<i8").tobytes()).hexdigest()
         assert got == digest, (preset, n, seed, delta)
+
+
+def _wide_cases(seed=42):
+    """Seeded (instance, spec, random start) for every k in {1, 3, 8, 9},
+    m in {1, 3}, gamma in {0, 2} and delta in {0, 100}.
+
+    The pins above all have k = 2 and gamma = 1; here k >= 8 reaches the
+    pairwise order of numpy's skill sums and m = 1 a lone group. Skills and
+    requirements are rounded to one decimal so that gains tie exactly.
+    """
+    rng = np.random.default_rng(seed)
+    for k, m, gamma, delta in itertools.product(
+            (1, 3, 8, 9), (1, 3), (0.0, 2.0), (0.0, 100.0)):
+        n = int(rng.integers(20, 41))
+        skills = np.round(rng.random((n, k)), 1)
+        groups = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        rng.shuffle(groups)
+        spec = TaskSpec(requirements=np.round(rng.random(k) * 3, 1),
+                        gamma=gamma, delta=delta)
+        start = random_partition(rng, n, int(rng.integers(2, n // 3)))
+        yield make_instance(skills, groups), spec, start
+
+
+# sha256 over the little-endian int64 team_of of each refiner's output on
+# the 32 cases above, in order, recorded before the gain caches held the
+# per-group changes (D_q) and their sums.
+GOLDEN_WIDE = {
+    "fmhc": "7eb2835ae99294fcb4fe1a3b857bc9e8d5174e41e091f575d1946ca9a2e3b5a3",
+    "sahc": "091d622078cfbb3323e10c102d9f9cd0b302722c6c8b2051867237e48fdfe1f1",
+}
+
+
+@pytest.mark.parametrize("method", ["fmhc", "sahc"])
+def test_refiners_reproduce_golden_wide_cases(method):
+    refiner = {"fmhc": fmhc, "sahc": sahc}[method]
+    digest = hashlib.sha256()
+    for inst, spec, start in _wide_cases():
+        b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+        team_of = refiner(inst, spec, b, start).team_of
+        digest.update(np.ascontiguousarray(team_of, dtype="<i8").tobytes())
+    assert digest.hexdigest() == GOLDEN_WIDE[method]
 
 
 def _merge_heavy_cases(count=300, seed=40):
