@@ -30,12 +30,12 @@ def uniform_kmeans(instance: Instance, team_count: int,
     round-robin, one student per cluster per sweep, with a cursor that
     carries across clusters so team sizes also stay within one.
 
-    Clustering runs at most 100 iterations and stops early once the
-    centroids move less than 1e-6 and the labels repeat. It also stops
-    when the centroid bytes and previous labels an iteration starts from
-    match an earlier iteration's exactly: the run is then in a cycle that
-    never converges, and the labels the 100th iteration would produce are
-    read from the cycle.
+    Clustering runs at most 100 iterations and stops early once the labels
+    repeat (the centroids, the means of the same clusters, then repeat
+    too). It also stops when the centroid bytes and previous labels an
+    iteration starts from match an earlier iteration's exactly: the run is
+    then in a cycle that never converges, and the labels the 100th
+    iteration would produce are read from the cycle.
     """
     n = instance.n
     if not 1 <= team_count <= n:
@@ -47,8 +47,12 @@ def uniform_kmeans(instance: Instance, team_count: int,
     n_full = n - (cap - 1) * n_clusters
 
     skills = instance.skills
+    k = instance.k
     centroids = skills[rng.choice(n, size=n_clusters, replace=False)].copy()
     seats = [cap] * n_full + [cap - 1] * (n_clusters - n_full)
+    # every seat is taken, so the clusters sorted by label are two blocks
+    # of equal-sized clusters
+    blocks = [(0, n_full, cap), (n_full * cap, n_clusters - n_full, cap - 1)]
     labels = np.full(n, -1, dtype=np.int64)
     # an iteration's outcome depends only on the centroids it starts from
     # and the labels before it, so a repeated state is a cycle
@@ -61,13 +65,12 @@ def uniform_kmeans(instance: Instance, team_count: int,
             labels = history[first + (99 - first) % (it - first)]
             break
         seen[state] = it
-        dists = np.linalg.norm(skills[:, None, :] - centroids[None], axis=2)
+        diff = skills[:, None, :] - centroids[None]
+        # np.linalg.norm(diff, axis=2), the same arithmetic
+        dists = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=2))
         order = np.argsort(dists, axis=1)
-        nearest = dists[np.arange(n), order[:, 0]]
-        if n_clusters > 1:
-            gap = dists[np.arange(n), order[:, 1]] - nearest
-        else:
-            gap = nearest
+        best = dists[np.arange(n)[:, None], order[:, :2]]
+        gap = best[:, 0] if n_clusters == 1 else best[:, 1] - best[:, 0]
         # larger gap = more to lose from a detour, so it claims a seat first
         priority = np.lexsort((np.arange(n), -gap))
         free = seats.copy()
@@ -81,18 +84,15 @@ def uniform_kmeans(instance: Instance, team_count: int,
                     break
         new_labels = np.array(seat_of, dtype=np.int64)
         history.append(new_labels)
-        shift = 0.0
-        for c in range(n_clusters):
-            members = skills[new_labels == c]
-            if members.size == 0:
-                continue  # keep the previous centroid
-            centroid = members.mean(axis=0)
-            shift = max(shift, float(np.linalg.norm(centroid - centroids[c])))
-            centroids[c] = centroid
-        converged = shift < 1e-6 and np.array_equal(labels, new_labels)
-        labels = new_labels
-        if converged:
+        if np.array_equal(labels, new_labels):
             break
+        labels = new_labels
+        # each cluster's mean, its members in ascending order: the same
+        # bits as skills[labels == c].mean(axis=0)
+        ranked = skills[np.argsort(labels, kind="stable")]
+        centroids = np.concatenate([
+            ranked[start:start + count * size].reshape(count, size, k)
+            .mean(axis=1) for start, count, size in blocks if count])
 
     # deal clusters into teams: sweep clusters, cursor persists so a short
     # cluster does not reset the rotation

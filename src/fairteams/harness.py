@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import GAParams, genetic_algorithm, uniform_kmeans
 from .core import (Assignment, Instance, TaskSpec, compute_benefit_matrix,
-                   objective)
+                   objective_batch)
 from .datagen import generate_dataset, load_instance, preset_config
 from .errors import ValidationError
 from .initial import gmbf, random_init
@@ -67,28 +67,44 @@ class ExperimentResult:
     failures: tuple[RunFailure, ...]
 
 
+def evaluate_solutions(instance: Instance, spec: TaskSpec, assignments,
+                       runtimes_ms, dataset: str = "", method: str = "",
+                       seed: int | str = 0,
+                       b: np.ndarray | None = None) -> list[MetricsRecord]:
+    """Score assignments in one objective_batch call; record p equals
+    evaluate_solution of assignments[p] with runtime_ms runtimes_ms[p].
+    b, when given, is the benefit matrix for (instance, spec.benefit_epsilon).
+    """
+    if any(a.n != instance.n for a in assignments):
+        raise ValidationError("assignment size does not match the roster")
+    if b is None:
+        b = compute_benefit_matrix(instance, spec.benefit_epsilon)
+    batch = objective_batch(instance, spec, b,
+                            [a.team_of for a in assignments])
+    # the team sums past a row's own team count pad the batch: not teams
+    return [MetricsRecord(
+        dataset=dataset, method=method, seed=seed, n=instance.n,
+        l_final=count, pct_teams_met=100.0 * float(np.all(
+            sums[:count] >= spec.requirements, axis=1).sum()) / count,
+        y_pct=100.0 * float(y), z_pct=1e4 * float(z), objective=float(f),
+        runtime_ms=runtime_ms, group_labels=instance.group_labels,
+        gben_pct=tuple(100.0 * v for v in gben))
+        for count, runtime_ms, sums, y, z, f, gben in zip(
+            [a.n_teams for a in assignments], runtimes_ms, batch.team_sums,
+            batch.y, batch.z, batch.f, batch.group_benefits)]
+
+
 def evaluate_solution(instance: Instance, spec: TaskSpec,
                       assignment: Assignment, dataset: str = "",
                       method: str = "", seed: int | str = 0,
                       runtime_ms: float = 0.0,
                       b: np.ndarray | None = None) -> MetricsRecord:
     """Score one assignment; the objective value matches core.objective.
-
-    b, when given, must be the benefit matrix for (instance,
-    spec.benefit_epsilon).
+    b, when given, is the benefit matrix for (instance, spec.benefit_epsilon).
     """
-    if assignment.n != instance.n:
-        raise ValidationError("assignment size does not match the roster")
-    breakdown = objective(instance, spec, assignment, b=b)
-    met = np.all(breakdown.team_sums >= spec.requirements, axis=1)
-    return MetricsRecord(
-        dataset=dataset, method=method, seed=seed,
-        n=instance.n, l_final=assignment.n_teams,
-        pct_teams_met=100.0 * float(met.sum()) / assignment.n_teams,
-        y_pct=100.0 * breakdown.y, z_pct=1e4 * breakdown.z,
-        objective=breakdown.f, runtime_ms=runtime_ms,
-        group_labels=instance.group_labels,
-        gben_pct=tuple(100.0 * v for v in breakdown.group_benefits))
+    return evaluate_solutions(instance, spec, [assignment], [runtime_ms],
+                              dataset=dataset, method=method, seed=seed,
+                              b=b)[0]
 
 
 def solve_instance(instance: Instance, spec: TaskSpec, method: str,
@@ -266,37 +282,34 @@ def _timed(fn, *args, **kwargs):
 def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
               b: np.ndarray, setup_ms: float, method: str,
               seed: int) -> MetricsRecord:
-    """One (method, seed) row; stochastic methods average reps sub-runs.
+    """One (method, seed) row; stochastic methods average reps sub-runs,
+    solved first and then scored in one call.
 
     A stochastic method's sizing run is done once per cell. Its time and
     setup_ms (the benefit matrix build) are added to every sub-run's
     runtime_ms, so that it matches a standalone solve.
     """
+    team_count, rngs = config.team_count, [seed]
+    if method in _STOCHASTIC_SALT:
+        if team_count is None:
+            team_count, sizing_ms = _timed(_sizing_team_count, instance,
+                                           spec, b, method,
+                                           config.refine_config)
+            setup_ms += sizing_ms
+        rngs = [derive_rng(seed, _STOCHASTIC_SALT[method], rep)
+                for rep in range(config.reps)]
+    runs = [_timed(solve_instance, instance, spec, method, seed=rng,
+                   team_count=team_count, refine_config=config.refine_config,
+                   ga_params=config.ga_params, b=b) for rng in rngs]
+    assignments = [assignment for assignment, _ in runs]
+    runtimes = [setup_ms + solve_ms for _, solve_ms in runs]
     if method not in _STOCHASTIC_SALT:
-        return _timed_run(config, spec, instance, b, method, seed, seed,
-                          config.team_count, setup_ms)
-    team_count = config.team_count
-    if team_count is None:
-        team_count, sizing_ms = _timed(_sizing_team_count, instance, spec,
-                                       b, method, config.refine_config)
-        setup_ms += sizing_ms
-    sub_rows = [
-        _timed_run(config, spec, instance, b, method, seed,
-                   derive_rng(seed, _STOCHASTIC_SALT[method], rep),
-                   team_count, setup_ms)
-        for rep in range(config.reps)]
-    return _mean_record(sub_rows, seed)
-
-
-def _timed_run(config, spec, instance, b, method, seed, rng, team_count,
-               setup_ms) -> MetricsRecord:
-    assignment, solve_ms = _timed(
-        solve_instance, instance, spec, method, seed=rng,
-        team_count=team_count, refine_config=config.refine_config,
-        ga_params=config.ga_params, b=b)
-    return evaluate_solution(instance, spec, assignment,
-                             dataset=config.label, method=method, seed=seed,
-                             runtime_ms=setup_ms + solve_ms, b=b)
+        return evaluate_solution(instance, spec, assignments[0],
+                                 dataset=config.label, method=method,
+                                 seed=seed, runtime_ms=runtimes[0], b=b)
+    return _mean_record(evaluate_solutions(
+        instance, spec, assignments, runtimes, dataset=config.label,
+        method=method, seed=seed, b=b), seed)
 
 
 def _format_cell(value) -> str:

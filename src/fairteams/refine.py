@@ -12,10 +12,12 @@ Both take the row-major first maximum of the gain matrix, so ties go to the
 lower student, then the lower destination.
 
 The gain of moving student x to team d is f(before) - f(after). SolverState
-caches, per (x, d) cell, every term that does not depend on the global sums;
-a move refreshes the two columns and the rows of the two teams it touches,
-and gain_matrix adds the global sums. Each cell takes the same floating-point
-operations in the same order as a full recompute: gains are bit-identical.
+caches, per (x, d) cell, every term that does not depend on the global sums.
+A move updates the team sums and counts and queues a refresh of the two
+columns and two teams' rows it touches; the next gain_matrix or clone runs
+the queue once over their union, and gain_matrix adds the global sums. Each
+cell takes the same floating-point operations in the same order as a full
+recompute: gains are bit-identical.
 gain_matrix is the only copy of this formula: gain(x, d) is one of its cells,
 and a singleton merge takes the first maximum of x's row.
 
@@ -52,26 +54,21 @@ class RefineConfig:
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
     """Per-team squared shortfall summed over skills, in numpy's order;
     sums: (k, ...), one plane per skill."""
-    short = np.maximum((requirements - sums.T).T, 0.0)
+    short = requirements.reshape((-1,) + (1,) * (sums.ndim - 1)) - sums
+    np.maximum(short, 0.0, out=short)
     return _pairwise_sum(list(np.square(short, out=short)))
 
 
-def _individual(own: np.ndarray, n_team: np.ndarray) -> np.ndarray:
-    """Share of its n_team - 1 teammates that a student benefits from."""
-    return np.where(n_team > 1, own / np.maximum(n_team - 1, 1.0), 0.0)
-
-
-def _group_change(own, sizes, benefit_to, src_delta, benefit_vs, ind,
+def _group_change(own, safe, stay, benefit_to, src_delta, benefit_vs, ind,
                   in_group) -> np.ndarray:
     """D_q of a block of moves from arguments that broadcast to it: the
-    destination's members (benefit sum own, sizes) gain the mover, the source
-    team changes by src_delta, and the mover's own benefit joins in_group."""
-    sizes_safe = np.maximum(sizes, 1.0)
+    destination's members (benefit sum own, share stay, size max safe) gain
+    the mover, src_delta is the source's change, and in_group the mover's."""
     d = own + benefit_to
-    d /= sizes_safe
-    d -= own / np.maximum(sizes - 1, 1.0)
+    d /= safe
+    d -= stay
     d += src_delta
-    mover = benefit_vs / sizes_safe
+    mover = benefit_vs / safe
     mover -= ind
     np.add(d, mover, out=d, where=in_group)
     return d
@@ -138,7 +135,8 @@ class SolverState:
             "ji,jl,qj->qil", b, membership, self._in_group, optimize=True))
         rows, n_team = np.arange(n), self.sizes[self.team_of]
         own = self.benefit_vs_team[rows, self.team_of]
-        self.ind = _individual(own, n_team)
+        # share of teammates each benefits from (own is 0 for a lone one)
+        self.ind = own / np.maximum(n_team - 1, 1.0)
         self.ind_total = float(self.ind.sum())
         self.group_counts = np.bincount(
             instance.groups, minlength=m).astype(float)
@@ -150,50 +148,72 @@ class SolverState:
         self._src_delta, self._def_src_new = np.empty((m, n)), np.empty(n)
         self._group_delta = np.empty((m, n, s))
         self._def_dest_new = np.empty((n, s))
-        self._refresh(rows, np.arange(s), self.team_of, n_team, own)
+        # (rows, cols, their team, its size, own benefit) per unread apply
+        self._pending = [(rows, np.arange(s), self.team_of, n_team, own)]
+        self._refresh()
 
     @classmethod
     def from_assignment(cls, instance: Instance, spec: TaskSpec,
                         b: np.ndarray, assignment: Assignment) -> "SolverState":
         return cls(instance, spec, b, assignment.team_of, assignment.n_teams)
 
-    def _refresh(self, rows, cols, src, n_src, own_vs_src):
-        """Recompute the row terms and cells of rows (src, n_src, own_vs_src:
-        their team, its size, how many in it they benefit from) and of cols."""
+    def _refresh(self):
+        """Recompute the row terms and cells of the queued rows (src, n_src,
+        own_vs_src: their team, its size, how many in it they benefit from)
+        and of the queued cols: one move's as queued, several moves' union."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        rows, cols, src, n_src, own_vs_src = pending[0]
+        if len(pending) > 1:
+            rows, cols = (np.flatnonzero(np.bincount(np.concatenate(part),
+                                                     minlength=size))
+                          for part, size in zip(zip(*pending),
+                                                (self.inst.n, self.n_slots)))
+            src = self.team_of.take(rows)
+            n_src = self.sizes.take(src)
+            own_vs_src = self.benefit_vs_team[rows, src]
+        own, sizes, req = self.own_by_group, self.sizes, self.spec.requirements
+        # per slot: max(size, 1) and each group's current mean share
+        safe = np.maximum(sizes, 1.0)
+        stay = own / np.maximum(sizes - 1, 1.0)
         # what each student leaves behind: its team's change per group ...
-        left = (self.own_by_group.take(src, 1)
-                - self._in_group.take(rows, 1) * own_vs_src)
-        old = left / np.maximum(n_src - 1, 1.0)
+        left = own.take(src, 1) - self._in_group.take(rows, 1) * own_vs_src
+        # in a team of one or two, left equals benefit_to (both count the
+        # partner's benefit from the student), so the new share is 0
         new = ((left - self.benefit_to_team[:, rows, src])
                / np.maximum(n_src - 2, 1.0))
-        self._src_delta[:, rows] = src_delta = np.where(
-            n_src >= 3, new - old, np.where(n_src == 2, -old, 0.0))
-        # ... and its team's deficiency without it
-        self._def_src_new[rows] = np.where(n_src == 1, 0.0, _deficiency(
-            self.sums.take(src, 1) - self._skills.take(rows, 1),
-            self.spec.requirements))
+        self._src_delta[:, rows] = src_delta = new - left / np.maximum(
+            n_src - 1, 1.0)
+        # ... and its team's deficiency without it (0 once it is empty)
+        self._def_src_new[rows] = _deficiency(
+            self.sums.take(src, 1) - self._skills.take(rows, 1), req
+        ) * (n_src > 1)
 
-        own, sizes = self.own_by_group, self.sizes
         block = _group_change(
-            own[:, None], sizes, self.benefit_to_team.take(rows, 1),
-            src_delta[:, :, None], self.benefit_vs_team.take(rows, 0),
-            self.ind.take(rows)[:, None],
+            own[:, None], safe, stay[:, None],
+            self.benefit_to_team.take(rows, 1), src_delta[:, :, None],
+            self.benefit_vs_team.take(rows, 0), self.ind.take(rows)[:, None],
             self._in_group.take(rows, 1)[:, :, None])
         self._group_delta[:, rows] = block
-        # the columns slot-major, (m, C, N): each array pass runs along N
-        block = _group_change(
-            own[:, cols, None], sizes[cols, None],
-            self.benefit_to_team[:, :, cols].transpose(0, 2, 1).copy(),
-            self._src_delta[:, None], self.benefit_vs_team[:, cols].T.copy(),
-            self.ind, self._in_group[:, None])
-        self._group_delta[:, :, cols] = block.transpose(0, 2, 1)
+        if rows.size < self.inst.n:  # else every cell is already fresh
+            # the columns slot-major, (m, C, N): each array pass runs along N
+            block = _group_change(
+                own.take(cols, 1)[:, :, None], safe.take(cols)[:, None],
+                stay.take(cols, 1)[:, :, None],
+                self.benefit_to_team.take(cols, 2).transpose(0, 2, 1).copy(),
+                self._src_delta[:, None],
+                self.benefit_vs_team.take(cols, 1).T.copy(), self.ind,
+                self._in_group[:, None])
+            self._group_delta[:, :, cols] = block.transpose(0, 2, 1)
         self._def_dest_new[:, cols] = _deficiency(
-            self.sums[:, cols, None] + self._skills[:, None],
-            self.spec.requirements).T
+            self.sums.take(cols, 1)[:, :, None] + self._skills[:, None], req).T
 
     def clone(self) -> "SolverState":
+        self._refresh()
         other = object.__new__(SolverState)
-        other.__dict__.update(self.__dict__)  # scalars and shared arrays
+        # scalars and shared arrays; the queue is empty after _refresh
+        other.__dict__.update(self.__dict__, _pending=[])
         for name in ("team_of", "sizes", "active", "sums", "defic",
                      "benefit_vs_team", "benefit_to_team", "ind", "group_sums",
                      "own_by_group", "_src_delta", "_def_src_new",
@@ -202,14 +222,18 @@ class SolverState:
         other.members = [list(team) for team in self.members]
         return other
 
-    def objective(self) -> ObjectiveBreakdown:
+    def _terms(self) -> tuple[float, float, float, float]:
+        """(x, y, z, f) as Python floats, summed in numpy's order."""
         inst, spec = self.inst, self.spec
         x = self.defic_total / (self.n_active * inst.k)
         y = self.ind_total / inst.n
-        means = self.group_sums / self.group_counts  # np.var, unwrapped
-        spread = means - np.add.reduce(means) / inst.m
-        z = float(np.add.reduce(np.square(spread)) / inst.m)
-        return ObjectiveBreakdown(x=x, y=y, z=z, f=x - spec.gamma * y + spec.delta * z)
+        means = (self.group_sums / self.group_counts).tolist()
+        mean = _pairwise_sum(means) / inst.m  # np.var, unwrapped
+        z = _pairwise_sum([(v - mean) * (v - mean) for v in means]) / inst.m
+        return x, y, z, x - spec.gamma * y + spec.delta * z
+
+    def objective(self) -> ObjectiveBreakdown:
+        return ObjectiveBreakdown(*self._terms())
 
     def assignment(self) -> Assignment:
         return compact_assignment(self.team_of)
@@ -218,6 +242,7 @@ class SolverState:
         """(n_live, n_slots) gains of the students not set in the bool mask
         locked, in ascending student order; -inf where invalid (the
         student's own team, inactive slots)."""
+        self._refresh()
         inst, spec = self.inst, self.spec
         n, m = inst.n, inst.m
         live = np.arange(n) if locked is None else np.flatnonzero(~locked)
@@ -246,8 +271,9 @@ class SolverState:
         x_new -= y_new
         z_new *= spec.delta
         x_new += z_new
-        gains = np.subtract(self.objective().f, x_new, out=x_new)
-        gains[:, ~self.active] = -np.inf
+        gains = np.subtract(self._terms()[3], x_new, out=x_new)
+        if self.n_active < self.n_slots:
+            gains[:, ~self.active] = -np.inf
         gains[np.arange(live.size), src] = -np.inf
         return gains
 
@@ -257,12 +283,12 @@ class SolverState:
             raise ValidationError("self-moves have no gain")
         if not (0 <= dest < self.n_slots) or not self.active[dest]:
             raise ValidationError(f"destination team {dest} does not exist")
-        locked = np.ones(self.inst.n, dtype=bool)
-        locked[student] = False
-        return float(self.gain_matrix(locked)[0, dest])
+        others = np.arange(self.inst.n) != student
+        return float(self.gain_matrix(others)[0, dest])
 
     def apply(self, student: int, dest: int):
-        """Move the student; refresh two columns and two teams' rows."""
+        """Move the student, update the accumulators, and queue the refresh
+        of two columns and two teams' rows for the next read."""
         inst = self.inst
         src = int(self.team_of[student])
         if dest == src:
@@ -278,14 +304,21 @@ class SolverState:
         self.sizes[dest] += 1
         self.members[src].remove(student)
         bisect.insort(self.members[dest], student)
-        if self.sizes[src] == 0:
+        emptied = self.sizes[src] == 0
+        if emptied:
             self.active[src] = False
             self.n_active -= 1
             self.sums[:, src] = 0.0
-        # the row and cell caches already hold both teams' new deficiency
+        # both teams' new deficiency: the caches hold it unless a refresh is
+        # queued; the new sums give it then, by the same operations
         self.defic_total -= self.defic[src] + self.defic[dest]
-        self.defic[src] = self._def_src_new[student]
-        self.defic[dest] = self._def_dest_new[student, dest]
+        if self._pending:
+            new_src, self.defic[dest] = _deficiency(
+                self.sums[:, pair], self.spec.requirements).tolist()
+            self.defic[src] = 0.0 if emptied else new_src
+        else:
+            self.defic[src] = self._def_src_new[student]
+            self.defic[dest] = self._def_dest_new[student, dest]
         self.defic_total += self.defic[src] + self.defic[dest]
 
         # integer counts, so these updates are exact
@@ -305,13 +338,13 @@ class SolverState:
         slots = self.team_of.take(rows)
         n_team = self.sizes.take(slots)
         own = self.benefit_vs_team[rows, slots]
-        ind = _individual(own, n_team)
+        ind = own / np.maximum(n_team - 1, 1.0)
         delta = ind - self.ind.take(rows)
         self.ind[rows] = ind
         self.ind_total += float(np.add.reduce(delta[:n_left]))
         self.ind_total += float(np.add.reduce(delta[n_left:]))
         np.add.at(self.group_sums, inst.groups.take(rows), delta)
-        self._refresh(rows, pair, slots, n_team, own)
+        self._pending.append((rows, pair, slots, n_team, own))
 
 
 def _best_move(gains: np.ndarray) -> tuple[int, int, float]:
@@ -329,9 +362,8 @@ def _merge_singletons(state: SolverState) -> bool:
         if single.size == 0:
             break
         student = state.members[single[0]][0]
-        locked = np.ones(state.inst.n, dtype=bool)
-        locked[student] = False
-        state.apply(student, int(np.argmax(state.gain_matrix(locked)[0])))
+        gains = state.gain_matrix(np.arange(state.inst.n) != student)
+        state.apply(student, int(np.argmax(gains[0])))
         changed = True
     return changed
 

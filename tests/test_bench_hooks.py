@@ -70,6 +70,10 @@ def test_tracer_and_pass_counter_hook_a_fern_solve(tmp_path, capsys,
     assert live_rows.count(40) == passes
     assert counts["refine.SolverState.gain_matrix.cells"] == sum(cells)
     assert min(live_rows) < 40
+    # bench/test_bench.py checks the same ratio on every workload
+    committed = counts["refine.moves_committed"]
+    assert committed > 0
+    assert 0 < committed / counts["refine.moves_tried"] <= 1
 
 
 def test_tracer_hooks_an_experiment(tmp_path, capsys):

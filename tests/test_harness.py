@@ -68,6 +68,46 @@ class TestEvaluateSolution:
         with pytest.raises(ValidationError):
             evaluate_solution(inst, spec, Assignment(np.array([0, 0, 1])))
 
+    def test_batch_matches_one_at_a_time(self):
+        # one objective_batch call over rows of 1, N and in-between team
+        # counts; each record equals scoring its assignment alone
+        rng = np.random.default_rng(62)
+        inst = make_random_instance(rng, n=12, k=2, m=2)
+        spec = make_random_spec(rng, inst.k)
+        assignments = [Assignment(np.zeros(12, dtype=np.int64)),
+                       Assignment(np.arange(12)),
+                       core.compact_assignment(rng.choice([3, 40, 900], 12)),
+                       random_partition(rng, 12, 4)]
+        got = harness.evaluate_solutions(inst, spec, assignments,
+                                         [1.0, 2.0, 3.0, 4.0], dataset="d",
+                                         method="m", seed=5)
+        for record, assignment, runtime in zip(got, assignments,
+                                               [1.0, 2.0, 3.0, 4.0]):
+            assert record == evaluate_solution(
+                inst, spec, assignment, dataset="d", method="m", seed=5,
+                runtime_ms=runtime)
+            assert record.objective == objective(inst, spec, assignment).f
+        assert [r.l_final for r in got] == [a.n_teams for a in assignments]
+
+    def test_batch_padding_never_counts_as_met(self):
+        # with zero requirements every team meets them; the zero team sums
+        # that pad the one-team row to the batch's width are not teams
+        inst = make_random_instance(np.random.default_rng(63), n=8, k=2)
+        spec = TaskSpec(requirements=[0.0, 0.0])
+        records = harness.evaluate_solutions(
+            inst, spec, [Assignment(np.zeros(8, dtype=np.int64)),
+                         Assignment(np.arange(8))], [0.0, 0.0])
+        assert [r.pct_teams_met for r in records] == [100.0, 100.0]
+        assert [r.l_final for r in records] == [1, 8]
+
+    def test_batch_rejects_size_mismatch(self):
+        inst, assignment = _mutual_pairs()
+        spec = TaskSpec(requirements=[1.0, 1.0])
+        with pytest.raises(ValidationError):
+            harness.evaluate_solutions(
+                inst, spec, [assignment, Assignment(np.array([0, 0, 1]))],
+                [0.0, 0.0])
+
 
 class TestSolveInstance:
     def test_unknown_method_rejected(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,8 @@ CELL_CACHES = ("_group_delta", "_def_dest_new")
 ROW_CACHES = ("_src_delta", "_def_src_new")
 TEAM_CACHES = ("sizes", "active", "sums", "defic", "benefit_vs_team",
                "benefit_to_team", "ind", "group_sums", "own_by_group")
+EXACT_CACHES = ("_group_delta", "_src_delta", "sizes", "active",
+                "benefit_vs_team", "benefit_to_team", "ind", "own_by_group")
 
 
 def _full_gains(state, locked):
@@ -190,6 +193,7 @@ def _full_gains(state, locked):
 def _check_against_fresh(state, locked):
     """Every cache, and the gains, equal a state rebuilt from team_of.
     Returns the (N, slots) gains, -inf on locked rows."""
+    gains = _full_gains(state, locked)  # a read runs the pending refresh
     fresh = SolverState(state.inst, state.spec, state.b, state.team_of,
                         state.n_slots)
     for name in CELL_CACHES + ROW_CACHES + TEAM_CACHES:
@@ -198,7 +202,6 @@ def _check_against_fresh(state, locked):
     assert state.n_active == fresh.n_active
     assert state.members == [np.flatnonzero(state.team_of == slot).tolist()
                              for slot in range(state.n_slots)]
-    gains = _full_gains(state, locked)
     want = _full_gains(fresh, locked)
     assert np.array_equal(np.isfinite(gains), np.isfinite(want))
     finite = np.isfinite(want)
@@ -263,6 +266,41 @@ class TestCacheConsistency:
             state.apply(int(i), int(dest))
             locked[i] = lock
             _check_against_fresh(state, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_move_sequences(), st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+        min_size=1, max_size=30))
+    def test_unread_moves_refresh_once_on_the_next_read(self, case, moves):
+        # applies with no read in between leave one refresh over the union
+        # of their rows and columns; it must give the bits that a read
+        # after every apply gives
+        *shape, _ = case
+        state, eager = _fresh_state(*shape), _fresh_state(*shape)
+        for pick, dest_pick in moves:
+            student = pick % state.inst.n
+            dests = np.flatnonzero(state.active)
+            dests = dests[dests != state.team_of[student]]
+            if dests.size == 0:
+                break
+            dest = int(dests[dest_pick % dests.size])
+            state.apply(student, dest)
+            eager.apply(student, dest)
+            eager.gain_matrix()
+        gains = _check_against_fresh(state, None)
+        assert gains.tobytes() == eager.gain_matrix().tobytes()
+        for name in CELL_CACHES + ROW_CACHES + TEAM_CACHES:
+            assert getattr(state, name).tobytes() == \
+                getattr(eager, name).tobytes(), name
+        assert (state.defic_total, state.ind_total) == \
+            (eager.defic_total, eager.ind_total)
+        # these depend only on integer counts, so they match a fresh build
+        # bit for bit; float sums carry the order of their updates
+        fresh = SolverState(state.inst, state.spec, state.b, state.team_of,
+                            state.n_slots)
+        for name in EXACT_CACHES:
+            assert getattr(state, name).tobytes() == \
+                getattr(fresh, name).tobytes(), name
 
     @pytest.mark.parametrize("skills, groups, team_of, reqs, epsilon", [
         # N = 2, one group, one skill
@@ -430,6 +468,27 @@ class TestFmhc:
             f_f = _oracle_f(inst, spec, fmhc(inst, spec, b, start).team_of)
             diffs.append(f_f - f_s)
         assert np.median(diffs) <= 1e-9
+
+    def test_peak_memory_stays_near_one_state(self):
+        # a pass holds the live state and one tentative clone; refreshes and
+        # gain evaluations add temporaries of a few cache-sized arrays, and
+        # the refresh a replayed prefix queues runs after that pass's
+        # tentative clone is gone
+        inst = generate_dataset(preset_config("d3", 200), seed=0)
+        spec = TaskSpec(requirements=[2.0, 2.0])
+        b = compute_benefit_matrix(inst, 0.0)
+        start = gmbf(inst, spec, b)
+        state = SolverState.from_assignment(inst, spec, b, start)
+        state_bytes = sum(value.nbytes for value in vars(state).values()
+                          if isinstance(value, np.ndarray))
+        del state
+        tracemalloc.start()
+        try:
+            fmhc(inst, spec, b, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * state_bytes, peak / state_bytes
 
     def test_counts_passes(self):
         rng = np.random.default_rng(35)
