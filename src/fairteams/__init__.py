@@ -18,8 +18,8 @@ from .datagen import (DatasetConfig, GroupGenSpec, bucket_distribution,
 from .errors import ValidationError
 from .harness import (ExperimentConfig, ExperimentResult, MetricsRecord,
                       RunFailure, default_spec, evaluate_solution,
-                      evaluate_solutions, metrics_csv_text, run_experiment,
-                      solve_instance, write_metrics_csv)
+                      metrics_csv_text, run_experiment, solve_instance,
+                      write_metrics_csv)
 from .initial import gmbf, lmbf, lmbff, random_init
 from .refine import RefineConfig, SolverState, fmhc, postprocess, sahc
 
@@ -31,8 +31,7 @@ __all__ = [
     "ObjectiveBreakdown", "RefineConfig", "RunFailure",
     "SolverState", "TaskSpec", "ValidationError",
     "bucket_distribution", "compact_assignment", "compute_benefit_matrix",
-    "default_spec", "evaluate_solution", "evaluate_solutions", "fmhc",
-    "generate_dataset",
+    "default_spec", "evaluate_solution", "fmhc", "generate_dataset",
     "generate_group", "genetic_algorithm", "gmbf", "lmbf", "lmbff",
     "load_instance", "make_instance", "metrics_csv_text", "objective",
     "objective_batch", "postprocess", "preset_config", "random_init",

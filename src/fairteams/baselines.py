@@ -47,11 +47,9 @@ def uniform_kmeans(instance: Instance, team_count: int,
     n_full = n - (cap - 1) * n_clusters
 
     skills = instance.skills
-    k = instance.k
     centroids = skills[rng.choice(n, size=n_clusters, replace=False)].copy()
     seats = [cap] * n_full + [cap - 1] * (n_clusters - n_full)
-    # every seat is taken, so the clusters sorted by label are two blocks
-    # of equal-sized clusters
+    # every seat is taken: sorted by label, two blocks of equal clusters
     blocks = [(0, n_full, cap), (n_full * cap, n_clusters - n_full, cap - 1)]
     labels = np.full(n, -1, dtype=np.int64)
     # an iteration's outcome depends only on the centroids it starts from
@@ -91,7 +89,7 @@ def uniform_kmeans(instance: Instance, team_count: int,
         # bits as skills[labels == c].mean(axis=0)
         ranked = skills[np.argsort(labels, kind="stable")]
         centroids = np.concatenate([
-            ranked[start:start + count * size].reshape(count, size, k)
+            ranked[start:start + count * size].reshape(count, size, -1)
             .mean(axis=1) for start, count, size in blocks if count])
 
     # deal clusters into teams: sweep clusters, cursor persists so a short

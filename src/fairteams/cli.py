@@ -172,8 +172,7 @@ def _build_task_spec(k: int, opts: dict) -> TaskSpec:
     elif len(reqs) != k:
         raise ValidationError(
             f"expected {k} requirement values, got {len(reqs)}")
-    return TaskSpec(requirements=reqs, gamma=opts["gamma"],
-                    delta=opts["delta"],
+    return TaskSpec(reqs, gamma=opts["gamma"], delta=opts["delta"],
                     benefit_epsilon=opts["benefit_epsilon"])
 
 
@@ -183,9 +182,8 @@ def write_assignment(instance: Instance, assignment: Assignment,
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["student_id", "team_id"])
-        for i in range(instance.n):
-            writer.writerow([instance.student_ids[i],
-                             int(assignment.team_of[i])])
+        writer.writerows(zip(instance.student_ids,
+                             assignment.team_of.tolist()))
 
 
 def load_assignment(path, instance: Instance) -> Assignment:
@@ -247,13 +245,12 @@ def _cmd_solve(args) -> int:
         raise ValidationError("solve requires --roster")
     instance = load_instance(opts["roster"])
     spec = _build_task_spec(instance.k, opts)
-    refine_config = RefineConfig(gain_epsilon=opts["gain_epsilon"])
     start = time.perf_counter()
     b = compute_benefit_matrix(instance, spec.benefit_epsilon)
-    assignment = solve_instance(instance, spec, opts["method"],
-                                seed=opts["seed"],
-                                team_count=opts["team_count"],
-                                refine_config=refine_config, b=b)
+    assignment = solve_instance(
+        instance, spec, opts["method"], seed=opts["seed"],
+        team_count=opts["team_count"], b=b,
+        refine_config=RefineConfig(gain_epsilon=opts["gain_epsilon"]))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     write_assignment(instance, assignment, opts["assignment_out"])
     record = evaluate_solution(instance, spec, assignment,
@@ -273,8 +270,7 @@ def _cmd_evaluate(args) -> int:
     assignment = load_assignment(opts["assignment"], instance)
     record = evaluate_solution(instance, spec, assignment,
                                dataset=roster_label(opts["roster"]),
-                               method="evaluate", seed=opts["seed"],
-                               runtime_ms=0.0)
+                               method="evaluate", seed=opts["seed"])
     sys.stdout.write(metrics_csv_text([record]))
     return 0
 
@@ -284,9 +280,8 @@ def _cmd_experiment(args) -> int:
     if bool(opts["preset"]) == bool(opts["roster"]):
         raise ValidationError(
             "experiment requires exactly one of --preset or --roster")
-    skill_dims = opts["skills"]
-    if opts["roster"]:
-        skill_dims = load_instance(opts["roster"]).k
+    skill_dims = (load_instance(opts["roster"]).k if opts["roster"]
+                  else opts["skills"])
     spec = _build_task_spec(skill_dims, opts)
     config = ExperimentConfig(
         seeds=opts["seeds"], methods=opts["methods"],

@@ -71,10 +71,9 @@ def evaluate_solutions(instance: Instance, spec: TaskSpec, assignments,
                        runtimes_ms, dataset: str = "", method: str = "",
                        seed: int | str = 0,
                        b: np.ndarray | None = None) -> list[MetricsRecord]:
-    """Score assignments in one objective_batch call; record p equals
-    evaluate_solution of assignments[p] with runtime_ms runtimes_ms[p].
-    b, when given, is the benefit matrix for (instance, spec.benefit_epsilon).
-    """
+    """Score assignments in one objective_batch call: record p equals
+    evaluate_solution(assignments[p], runtime_ms=runtimes_ms[p]). b, when
+    given, is the benefit matrix for (instance, spec.benefit_epsilon)."""
     if any(a.n != instance.n for a in assignments):
         raise ValidationError("assignment size does not match the roster")
     if b is None:
@@ -99,9 +98,7 @@ def evaluate_solution(instance: Instance, spec: TaskSpec,
                       method: str = "", seed: int | str = 0,
                       runtime_ms: float = 0.0,
                       b: np.ndarray | None = None) -> MetricsRecord:
-    """Score one assignment; the objective value matches core.objective.
-    b, when given, is the benefit matrix for (instance, spec.benefit_epsilon).
-    """
+    """Score one assignment: evaluate_solutions' one-row case."""
     return evaluate_solutions(instance, spec, [assignment], [runtime_ms],
                               dataset=dataset, method=method, seed=seed,
                               b=b)[0]
@@ -282,8 +279,7 @@ def _timed(fn, *args, **kwargs):
 def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
               b: np.ndarray, setup_ms: float, method: str,
               seed: int) -> MetricsRecord:
-    """One (method, seed) row; stochastic methods average reps sub-runs,
-    solved first and then scored in one call.
+    """One (method, seed) row; stochastic methods average reps sub-runs.
 
     A stochastic method's sizing run is done once per cell. Its time and
     setup_ms (the benefit matrix build) are added to every sub-run's
@@ -298,11 +294,11 @@ def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
             setup_ms += sizing_ms
         rngs = [derive_rng(seed, _STOCHASTIC_SALT[method], rep)
                 for rep in range(config.reps)]
-    runs = [_timed(solve_instance, instance, spec, method, seed=rng,
-                   team_count=team_count, refine_config=config.refine_config,
-                   ga_params=config.ga_params, b=b) for rng in rngs]
-    assignments = [assignment for assignment, _ in runs]
-    runtimes = [setup_ms + solve_ms for _, solve_ms in runs]
+    assignments, solve_ms = zip(*(_timed(
+        solve_instance, instance, spec, method, seed=rng,
+        team_count=team_count, refine_config=config.refine_config,
+        ga_params=config.ga_params, b=b) for rng in rngs))
+    runtimes = [setup_ms + ms for ms in solve_ms]
     if method not in _STOCHASTIC_SALT:
         return evaluate_solution(instance, spec, assignments[0],
                                  dataset=config.label, method=method,

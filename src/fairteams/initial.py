@@ -103,9 +103,8 @@ def lmbff(instance: Instance, spec: TaskSpec, b: np.ndarray) -> Assignment:
             cand_benefit = b[pool][:, members].sum(axis=1) / len(members)
             y_new = (placed_total + cand_benefit) / (placed_count + 1)
 
-            cand_groups = instance.groups[pool]
             one_hot = np.zeros((pool.size, m))
-            one_hot[np.arange(pool.size), cand_groups] = 1.0
+            one_hot[np.arange(pool.size), instance.groups[pool]] = 1.0
             new_sums = group_sums[None, :] + one_hot * cand_benefit[:, None]
             new_counts = group_counts[None, :] + one_hot
             present = new_counts > 0

@@ -222,18 +222,15 @@ class SolverState:
         other.members = [list(team) for team in self.members]
         return other
 
-    def _terms(self) -> tuple[float, float, float, float]:
-        """(x, y, z, f) as Python floats, summed in numpy's order."""
+    def objective(self) -> ObjectiveBreakdown:
+        """x, y, z and f as Python floats, summed in numpy's order."""
         inst, spec = self.inst, self.spec
         x = self.defic_total / (self.n_active * inst.k)
         y = self.ind_total / inst.n
         means = (self.group_sums / self.group_counts).tolist()
         mean = _pairwise_sum(means) / inst.m  # np.var, unwrapped
         z = _pairwise_sum([(v - mean) * (v - mean) for v in means]) / inst.m
-        return x, y, z, x - spec.gamma * y + spec.delta * z
-
-    def objective(self) -> ObjectiveBreakdown:
-        return ObjectiveBreakdown(*self._terms())
+        return ObjectiveBreakdown(x, y, z, x - spec.gamma * y + spec.delta * z)
 
     def assignment(self) -> Assignment:
         return compact_assignment(self.team_of)
@@ -271,7 +268,7 @@ class SolverState:
         x_new -= y_new
         z_new *= spec.delta
         x_new += z_new
-        gains = np.subtract(self._terms()[3], x_new, out=x_new)
+        gains = np.subtract(self.objective().f, x_new, out=x_new)
         if self.n_active < self.n_slots:
             gains[:, ~self.active] = -np.inf
         gains[np.arange(live.size), src] = -np.inf
@@ -304,18 +301,15 @@ class SolverState:
         self.sizes[dest] += 1
         self.members[src].remove(student)
         bisect.insort(self.members[dest], student)
-        emptied = self.sizes[src] == 0
-        if emptied:
+        if self.sizes[src] == 0:
             self.active[src] = False
             self.n_active -= 1
             self.sums[:, src] = 0.0
-        # both teams' new deficiency: the caches hold it unless a refresh is
-        # queued; the new sums give it then, by the same operations
+        # both teams' new deficiency, from the new sums while a refresh waits
         self.defic_total -= self.defic[src] + self.defic[dest]
         if self._pending:
-            new_src, self.defic[dest] = _deficiency(
-                self.sums[:, pair], self.spec.requirements).tolist()
-            self.defic[src] = 0.0 if emptied else new_src
+            self.defic[pair] = _deficiency(
+                self.sums[:, pair], self.spec.requirements) * self.active[pair]
         else:
             self.defic[src] = self._def_src_new[student]
             self.defic[dest] = self._def_dest_new[student, dest]
