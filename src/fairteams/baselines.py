@@ -129,6 +129,61 @@ class GAParams:
             raise ValidationError("elite_count must be below population_size")
 
 
+def _breeding_draws(rng: np.random.Generator, params: GAParams, n: int):
+    """One generation's draws (see genetic_algorithm) from one block of raw
+    words: entrants (children, 2, tournament_size), coins (children, n + 1)
+    and a (child, a, b) row per swap, leaving the generator as they would."""
+    pop_size, tour = params.population_size, params.tournament_size
+    n_children = pop_size - params.elite_count
+    # a coin is (w >> 11) * 2**-53, below mutation_prob iff w < low_coin
+    low_coin = math.ceil(params.mutation_prob * 2.0**53) << 11
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    # word 0's high half is the buffered half, words 1.. are fresh (enough
+    # unless draws are rejected); a 32-bit draw takes a fresh word's low
+    # half and buffers its high half
+    block = np.append(np.uint64(start["uinteger"] << 32),
+                      bitgen.random_raw(n_children * (tour + n + 3)))
+    while True:
+        hv = memoryview(block.astype("<u8", copy=False).view("<u4"))
+        p, has, half = 1, start["has_uint32"], 1  # has_uint32, uinteger
+        picks, coin_at, swaps = [], [], []
+        try:
+            for c in range(n_children):
+                # draws on [0, r): the tournaments', 0 for the coins, then
+                # (appended in the loop) choice's after a low last coin
+                todo, out = [pop_size] * (2 * tour) + [0], picks
+                for r in todo:
+                    if not r:
+                        coin_at.append(p)
+                        p += n + 1
+                        if block[p - 1] < low_coin:
+                            todo += (n - 1, n, 2)[n == 2:]
+                            out = [0] * (n == 2)  # j = n - 2 draws none
+                        continue
+                    while True:  # Lemire's draw; x is a fresh low half or
+                        if not has:  # the buffered high half
+                            half, p = 2 * p + 1, p + 1
+                        has = not has
+                        m = hv[half - has] * r  # x * r; the draw is m >> 32
+                        if (lo := m & 0xFFFFFFFF) >= r or lo >= (1 << 32) % r:
+                            break  # else x * r mod 2**32 < 2**32 mod r: redraw
+                    out.append(m >> 32)
+                if out is not picks:  # Floyd over j = n - 2, n - 1, then
+                    a, b, keep = out  # a draw on [0, 1] that swaps on 0
+                    b = n - 1 if b == a else b  # a repeat takes j
+                    swaps.append((c, a, b) if keep else (c, b, a))
+            break
+        except IndexError:  # a read past the block: rejections ran it short
+            block = np.append(block, bitgen.random_raw(len(block)))
+    # back from the block's end to word p - 1: the LCG's period is 2**128
+    state = bitgen.advance((p - len(block)) % 2**128).state
+    bitgen.state = {**state, "has_uint32": int(has), "uinteger": hv[half]}
+    return (np.array(picks).reshape(-1, 2, tour),
+            (block[np.add.outer(coin_at, np.arange(n + 1))] >> 11) * 2.0**-53,
+            np.array(swaps, dtype=np.int64).reshape(-1, 3))
+
+
 def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
                       team_count: int, params: GAParams | None = None,
                       rng=0) -> Assignment:
@@ -140,41 +195,28 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
     their fitness (a row scores alike in any batch). Fitness compacts empty
     team ids, so extinct teams shrink the divisor rather than padding it.
 
-    Per child, in order, the generator draws integers(0, P, size=2t) for
-    both tournaments, random(n + 1) for the crossover coins and then the
-    mutation coin, and choice(n, size=2, replace=False) if that coin is
-    below mutation_prob: exactly the stream of breeding one child at a
-    time, so a seed gives the same result. The rest runs per generation.
+    Draws are as if bred one child at a time (integers(0, P, size=2t),
+    random(n + 1), choice(n, 2, replace=False) after a low last coin), read
+    per generation from one block of raw words: rng must be PCG64/PCG64DXSM.
     """
     n = instance.n
     if not 1 <= team_count <= n:
         raise ValidationError("team count must be between 1 and N")
     params = params or GAParams()
     rng = as_rng(rng)
-    size, tour = params.population_size, params.tournament_size
-    n_children = size - params.elite_count
-    pop = rng.integers(0, team_count, size=(size, n))
+    if type(rng.bit_generator).__name__ not in ("PCG64", "PCG64DXSM"):
+        raise ValidationError("the GA needs a PCG64 or PCG64DXSM generator")
+    pop = rng.integers(0, team_count, size=(params.population_size, n))
     fits = objective_batch(instance, spec, b, pop).f
-    draws = np.empty((n_children, 2 * tour), dtype=np.int64)
-    coins = np.empty((n_children, n + 1))
-    swaps = np.empty((n_children, 2), dtype=np.int64)
 
     for _ in range(params.generations):
-        for c in range(n_children):
-            draws[c] = rng.integers(0, size, size=2 * tour)
-            rng.random(out=coins[c])
-            if coins[c, n] < params.mutation_prob:
-                swaps[c] = rng.choice(n, size=2, replace=False)
-        # each half of a row is one tournament; argmin keeps the first minimum
-        entrants = draws.reshape(n_children, 2, tour)
-        pick = np.argmin(fits[entrants], axis=2)
+        entrants, coins, swaps = _breeding_draws(rng, params, n)
+        pick = np.argmin(fits[entrants], axis=2)  # the first minimum wins
         winners = np.take_along_axis(entrants, pick[..., None], axis=2)[..., 0]
         children = np.where(coins[:, :n] < params.crossover_prob,
                             pop[winners[:, 1]], pop[winners[:, 0]])
-        rows = np.flatnonzero(coins[:, n] < params.mutation_prob)
-        a, bpos = swaps[rows].T
-        children[rows, a], children[rows, bpos] = \
-            children[rows, bpos], children[rows, a]
+        rows, pair = swaps[:, :1], swaps[:, 1:]
+        children[rows, pair] = children[rows, pair[:, ::-1]]
         elite_idx = np.argsort(fits, kind="stable")[:params.elite_count]
         pop = np.concatenate((pop[elite_idx], children))
         fits = np.concatenate(

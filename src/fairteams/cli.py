@@ -33,12 +33,7 @@ from .refine import RefineConfig
 
 
 def _parse_requirements(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ValidationError(
-            f"requirements must be comma-separated numbers, got {text!r}"
-        ) from None
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -46,17 +41,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds: list[int] = []
     for token in text.split(","):
         token = token.strip()
-        try:
-            if ".." in token:
-                lo, hi = token.split("..")
-                lo, hi = int(lo), int(hi)
-                if hi < lo:
-                    raise ValidationError(f"empty seed range {token!r}")
-                seeds.extend(range(lo, hi + 1))
-            else:
-                seeds.append(int(token))
-        except ValueError:
-            raise ValidationError(f"bad seed token {token!r}") from None
+        if ".." in token:
+            lo, hi = token.split("..")
+            lo, hi = int(lo), int(hi)
+            if hi < lo:
+                raise ValidationError(f"empty seed range {token!r}")
+            seeds.extend(range(lo, hi + 1))
+        else:
+            seeds.append(int(token))
     return tuple(seeds)
 
 
@@ -156,9 +148,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     out = {}
     for dest, (convert, default, _) in specs.items():
         value = getattr(args, dest)
-        if value is None:
-            text = config.get(dest, default)
-            value = None if text is None else convert(text)
+        text = config.get(dest, default)
+        if value is None and text is not None:
+            try:
+                value = convert(text)
+            except ValidationError:
+                raise
+            except ValueError:  # from int, float or a parser's conversion
+                raise ValidationError(
+                    f"{args.config}: bad {dest} value {text!r}") from None
         out[dest] = value
     return out
 

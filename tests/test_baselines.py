@@ -1,6 +1,7 @@
 """Baseline solver tests: capacitated k-means dealing and the GA."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -11,7 +12,8 @@ from fairteams.core import TaskSpec, compute_benefit_matrix, make_instance
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
 from fairteams.initial import gmbf, random_init
-from fairteams.baselines import GAParams, genetic_algorithm, uniform_kmeans
+from fairteams.baselines import (GAParams, _breeding_draws, genetic_algorithm,
+                                 uniform_kmeans)
 from fairteams.rng import derive_rng
 from helpers import make_random_instance
 
@@ -257,6 +259,18 @@ class TestGeneticAlgorithm:
         with pytest.raises(ValidationError):
             genetic_algorithm(inst, spec, b, 9)
 
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.MT19937, np.random.SFC64, np.random.Philox])
+    def test_rejects_bit_generators_it_cannot_read(self, bit_generator):
+        # each generation's draws are read from raw PCG64-family words
+        inst, spec, b = self._setup(np.random.default_rng(49), n=8)
+        rng = np.random.Generator(bit_generator(0))
+        params = GAParams(population_size=4, generations=1)
+        with pytest.raises(ValidationError, match="PCG64"):
+            genetic_algorithm(inst, spec, b, 2, params=params, rng=rng)
+        # rejected before the first draw
+        assert rng.random() == np.random.Generator(bit_generator(0)).random()
+
     def test_zero_generations_returns_initial_best(self):
         rng = np.random.default_rng(48)
         inst, spec, b = self._setup(rng, n=12)
@@ -363,3 +377,70 @@ def test_genetic_algorithm_reproduces_golden_draws_across_params():
         got.update(json.dumps(rng.bit_generator.state,
                               sort_keys=True).encode())
         assert got.hexdigest() == digest, line
+
+
+def _per_child_draws(rng, params, n):
+    """The per-child numpy calls whose draws _breeding_draws reads."""
+    tour = params.tournament_size
+    n_children = params.population_size - params.elite_count
+    entrants = np.empty((n_children, 2 * tour), dtype=np.int64)
+    coins = np.empty((n_children, n + 1))
+    swaps = []
+    for c in range(n_children):
+        entrants[c] = rng.integers(0, params.population_size, size=2 * tour)
+        rng.random(out=coins[c])
+        if coins[c, n] < params.mutation_prob:
+            swaps.append((c, *rng.choice(n, size=2, replace=False)))
+    return (entrants.reshape(n_children, 2, tour), coins,
+            np.array(swaps, dtype=np.int64).reshape(-1, 3))
+
+
+def _draw_params(pop_size, tour, mutation_prob, n_children):
+    return GAParams(population_size=pop_size, tournament_size=tour,
+                    mutation_prob=mutation_prob,
+                    elite_count=pop_size - n_children)
+
+
+def _assert_same_draws(bit_generator, seed, params, n, buffered=False):
+    want_rng, got_rng = (np.random.Generator(bit_generator(seed))
+                         for _ in range(2))
+    if buffered:  # leave the high half of a word in the 32-bit buffer
+        want_rng.integers(0, 5)
+        got_rng.integers(0, 5)
+    assert got_rng.bit_generator.state["has_uint32"] == buffered
+    want = _per_child_draws(want_rng, params, n)
+    got = _breeding_draws(got_rng, params, n)
+    for name, w, g in zip(("entrants", "coins", "swaps"), want, got):
+        assert g.dtype == w.dtype, name
+        np.testing.assert_array_equal(g, w, err_msg=name)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return want_rng
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                           np.random.PCG64DXSM])
+@pytest.mark.parametrize("pop_size", [2, 3, 9, 200, 3 * 2**30, 2**31 + 1,
+                                      2**32])
+def test_breeding_draws_match_per_child_calls(bit_generator, pop_size):
+    # Tournaments on 3 * 2**30 and 2**31 + 1 reject about a quarter and a
+    # half of their 32-bit draws; 2**32 takes them as they come.
+    cases = itertools.product((1, 2, 3), (2, 3, 17, 100), (0.0, 0.1, 1.0),
+                              (False, True))
+    for seed, (tour, n, mutation_prob, buffered) in enumerate(cases):
+        params = _draw_params(pop_size, tour, mutation_prob,
+                              min(pop_size, 7))
+        _assert_same_draws(bit_generator, seed, params, n, buffered)
+
+
+def test_breeding_draws_read_past_a_short_block():
+    # Half the tournament draws on 2**31 + 1 are rejected, so 60 children
+    # use about 9 words each, more than the tour + n + 3 per child of the
+    # first block.
+    params = _draw_params(2**31 + 1, 3, 0.0, 60)
+    end = _assert_same_draws(np.random.PCG64, 11, params, 2).bit_generator
+    probe = np.random.PCG64(11)  # count the words the calls drew
+    used = 0
+    while probe.state["state"] != end.state["state"] and used < 2000:
+        probe.random_raw()
+        used += 1
+    assert 60 * (3 + 2 + 3) < used < 2000

@@ -1,13 +1,17 @@
 """End-to-end CLI tests, in process via main(argv)."""
 
+import contextlib
 import csv
 import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairteams import cli, core, harness
 from fairteams.cli import main
@@ -342,6 +346,27 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {config}:{line}: duplicate key {key!r}"]
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("evaluate", "seed = abc\n", "{config}: bad seed value 'abc'"),
+        ("evaluate", "gamma = 0x1F\n", "{config}: bad gamma value '0x1F'"),
+        ("evaluate", "requirements = 1;2\n",
+         "{config}: bad requirements value '1;2'"),
+        ("experiment", "seeds = 1..x\n", "{config}: bad seeds value '1..x'"),
+        # a parser's own message is kept
+        ("experiment", "seeds = 3..1\n", "empty seed range '3..1'"),
+    ])
+    def test_unconvertible_config_value(self, tmp_path, capsys, command,
+                                        text, message):
+        # these raised a ValueError traceback before
+        paths = ["--roster", _write(tmp_path, "quad.csv", QUAD_ROSTER)]
+        if command == "evaluate":
+            paths += ["--assignment",
+                      _write(tmp_path, "teams.csv", QUAD_ASSIGNMENT)]
+        config = _write(tmp_path, "run.cfg", text)
+        assert main([command, *paths, "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: " + message.format(config=config)]
+
 
 # one non-default value per option, as typed on the command line
 SAMPLE_VALUES = {
@@ -549,3 +574,58 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert modules == "[]"
     assert masses == ("a4560450004dec3f23577599f32dbc3f"
                       "cd3b7f669e80763f000000000000003f")
+
+
+# Valid inputs for evaluate; the fuzz test below mutates one of them.
+_FUZZ_FILES = {
+    "roster": b"student_id,group,skill_1,skill_2\n"
+              b"s1,g1,0.2,0.9\ns2,g2,0.8,0.1\ns3,g1,0.5,0.5\ns4,g2,0.9,0.7\n",
+    "assignment": b"student_id,team_id\ns1,0\ns2,0\ns3,1\ns4,1\n",
+    "config": b"# evaluate settings\ngamma = 1\ndelta = 0.5\n"
+              b"requirements = 1,1\nbenefit_epsilon = 0\nseed = 3\n",
+}
+# stray quotes and delimiters, NUL, a byte-order mark, line ends, huge,
+# negative and non-finite numbers, and bytes that do not decode as UTF-8
+_FUZZ_INSERTS = [b'"', b",", b"=", b"#", b" ", b"\x00", b"\xef\xbb\xbf",
+                 b"\r\n", b"\r", b"\n", b"1e999", b"-1", b"nan", b"inf",
+                 b"9" * 400, b"0x1F", b"1_0", b"\xff", b"\xc3"]
+
+
+@st.composite
+def _mutated(draw, data):
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["truncate", "flip", "insert", "header"]))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "flip" and data:
+            flip = draw(st.integers(1, 255))
+            data = data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + draw(st.sampled_from(_FUZZ_INSERTS)) + data[at:]
+        else:  # the first line twice
+            data = data.split(b"\n", 1)[0] + b"\n" + data
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(sorted(_FUZZ_FILES)), data=st.data())
+def test_mutated_input_files_fail_with_one_error_line(which, data):
+    files = dict(_FUZZ_FILES)
+    files[which] = data.draw(_mutated(files[which]), label=which)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in files}
+        for name, content in files.items():
+            Path(paths[name]).write_bytes(content)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--roster", paths["roster"],
+                         "--assignment", paths["assignment"],
+                         "--config", paths["config"]])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and out.getvalue().startswith("dataset,")
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: " if code == 1 else "io error: ")
