@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from .baselines import GAParams
 from .core import (Assignment, Instance, TaskSpec, compact_assignment,
                    compute_benefit_matrix)
 from .datagen import (PRESETS, generate_dataset, load_instance, open_text,
@@ -59,6 +58,19 @@ def _parse_methods(text: str) -> tuple[str, ...]:
             raise ValidationError(
                 f"unknown method {m!r}; expected one of {METHODS}")
     return methods
+
+
+def _flag_type(convert):
+    """A parser above as an argparse type whose usage error names the value,
+    not the function; a ValidationError keeps its own text."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                str(exc) if isinstance(exc, ValidationError)
+                else f"invalid value {text!r}") from None
+    return parse
 
 
 # dest -> (converter, default, help). Each entry is both a --flag and a
@@ -321,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         for dest, (convert, default, text) in _OPTS[command].items():
             if default is not None:
                 text += f" (default {default})"
+            if convert in (_parse_requirements, _parse_seeds, _parse_methods):
+                convert = _flag_type(convert)
             p.add_argument("--" + dest.replace("_", "-"), type=convert,
                            choices=_CHOICES.get(dest),
                            metavar=_METAVARS.get(dest), help=text)

@@ -60,10 +60,6 @@ class DatasetConfig:
         if not self.groups:
             raise ValidationError("at least one group is required")
 
-    @property
-    def n_students(self) -> int:
-        return sum(g.count for g in self.groups)
-
 
 def bucket_distribution(alpha: float, beta: float) -> np.ndarray:
     """Probability mass of the four ability levels under Beta(alpha, beta).

@@ -26,8 +26,8 @@ from .rng import derive_rng
 
 METHODS = ("fern", "gmbf", "random", "umeans", "ga")
 
-# salts keep each method's derived sub-run streams disjoint per seed
-_STOCHASTIC_SALT = {"random": 1, "umeans": 2, "ga": 3}
+# method -> (salt of its per-seed sub-run streams, solve sizing its teams)
+_STOCHASTIC = {"random": (1, "gmbf"), "umeans": (2, "gmbf"), "ga": (3, "fern")}
 
 METRIC_COLUMNS = ("n", "l_final", "pct_teams_met", "y_pct", "z_pct",
                   "objective", "runtime_ms")
@@ -111,24 +111,20 @@ def solve_instance(instance: Instance, spec: TaskSpec, method: str,
                    b: np.ndarray | None = None) -> Assignment:
     """Run one method end to end, including any prerequisite sizing run.
 
-    Team counts when not overridden: random and umeans use the count a
-    plain constructive run produces; ga uses the count of the full
-    construct-plus-refine pipeline. b, when given, must be the benefit
-    matrix for (instance, spec.benefit_epsilon).
+    Team counts when not overridden: gmbf's for random and umeans, fern's
+    (the full construct-plus-refine pipeline) for ga. b, when given, must
+    be the benefit matrix for (instance, spec.benefit_epsilon).
     """
     if method not in METHODS:
         raise ValidationError(
             f"unknown method {method!r}; expected one of {METHODS}")
     if b is None:
         b = compute_benefit_matrix(instance, spec.benefit_epsilon)
-    if method == "gmbf":
-        return gmbf(instance, spec, b)
-    if method == "fern":
-        return fmhc(instance, spec, b, gmbf(instance, spec, b),
-                    config=refine_config)
+    if method not in _STOCHASTIC:
+        return _solve_once({}, method, instance, spec, b, refine_config)[0]
     if team_count is None:
-        team_count = _sizing_team_count(instance, spec, b, method,
-                                        refine_config)
+        team_count = _solve_once({}, _STOCHASTIC[method][1], instance, spec,
+                                 b, refine_config)[0].n_teams
     if method == "random":
         return random_init(instance.n, team_count, rng=seed)
     if method == "umeans":
@@ -137,15 +133,19 @@ def solve_instance(instance: Instance, spec: TaskSpec, method: str,
                              params=ga_params, rng=seed)
 
 
-def _sizing_team_count(instance: Instance, spec: TaskSpec, b: np.ndarray,
-                       method: str,
-                       refine_config: RefineConfig | None) -> int:
-    """Team count of the sizing run for a stochastic method: the full
-    pipeline's for ga, the constructive run's otherwise."""
-    start = gmbf(instance, spec, b)
-    if method == "ga":
-        return fmhc(instance, spec, b, start, config=refine_config).n_teams
-    return start.n_teams
+def _solve_once(solved, method, instance, spec, b, refine_config):
+    """gmbf's or fern's (assignment, ms), kept in solved so that each is
+    run once per dict; fern's ms includes its gmbf start. A failed solve is
+    not kept: the next caller runs it again and fails the same way."""
+    if method == "gmbf" and method not in solved:
+        solved[method] = _timed(gmbf, instance, spec, b)
+    elif method not in solved:
+        start, start_ms = _solve_once(solved, "gmbf", instance, spec, b,
+                                      refine_config)
+        result, ms = _timed(fmhc, instance, spec, b, start,
+                            config=refine_config)
+        solved[method] = (result, start_ms + ms)
+    return solved[method]
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,9 @@ class ExperimentConfig:
     """One dataset source x methods x seeds batch.
 
     Preset sources resample the dataset per seed; a roster source keeps the
-    instance fixed and seeds only the stochastic methods. reps sub-runs are
-    averaged into each stochastic method's per-seed row.
+    instance fixed and seeds only the stochastic methods; gmbf and fern are
+    solved once per roster. reps sub-runs are averaged into each stochastic
+    method's per-seed row. spec None means default_spec(k).
     """
 
     seeds: tuple[int, ...]
@@ -228,33 +229,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     A failed run is recorded with its identity and the batch continues.
     """
-    spec = config.spec
-    fixed_instance = None
-    if config.roster is not None:
-        fixed_instance = load_instance(config.roster)
-    if spec is None:
-        k = fixed_instance.k if fixed_instance is not None \
-            else config.skill_dims
-        spec = default_spec(k)
-
     records: list[MetricsRecord] = []
     failures: list[RunFailure] = []
-    if fixed_instance is not None:
-        instance = fixed_instance
-        b, b_ms = _timed(compute_benefit_matrix, instance,
-                         spec.benefit_epsilon)
-    for seed in config.seeds:
-        if fixed_instance is None:
-            instance = generate_dataset(
-                preset_config(config.preset, config.n_students,
-                              skill_dims=config.skill_dims,
-                              n_groups=config.n_groups), seed=seed)
+    for i, seed in enumerate(config.seeds):
+        if i == 0 or config.roster is None:
+            instance = (
+                load_instance(config.roster) if config.roster is not None
+                else generate_dataset(preset_config(
+                    config.preset, config.n_students,
+                    skill_dims=config.skill_dims,
+                    n_groups=config.n_groups), seed=seed))
+            spec = config.spec or default_spec(instance.k)
             b, b_ms = _timed(compute_benefit_matrix, instance,
                              spec.benefit_epsilon)
+            solved: dict = {}  # this roster's gmbf and fern solves
         for method in config.methods:
             try:
                 records.append(_run_cell(config, spec, instance, b, b_ms,
-                                         method, seed))
+                                         solved, method, seed))
             except (ValidationError, ValueError, ArithmeticError) as exc:
                 failures.append(RunFailure(config.label, method, seed,
                                            f"{type(exc).__name__}: {exc}"))
@@ -277,35 +269,33 @@ def _timed(fn, *args, **kwargs):
 
 
 def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
-              b: np.ndarray, setup_ms: float, method: str,
+              b: np.ndarray, setup_ms: float, solved: dict, method: str,
               seed: int) -> MetricsRecord:
     """One (method, seed) row; stochastic methods average reps sub-runs.
 
-    A stochastic method's sizing run is done once per cell. Its time and
-    setup_ms (the benefit matrix build) are added to every sub-run's
-    runtime_ms, so that it matches a standalone solve.
+    fern, gmbf and a stochastic method's sizing solve come from solved,
+    the roster's _solve_once dict. runtime_ms is setup_ms (the benefit
+    matrix build) plus the solves behind the row or sub-run, as in solve.
     """
-    team_count, rngs = config.team_count, [seed]
-    if method in _STOCHASTIC_SALT:
-        if team_count is None:
-            team_count, sizing_ms = _timed(_sizing_team_count, instance,
-                                           spec, b, method,
-                                           config.refine_config)
-            setup_ms += sizing_ms
-        rngs = [derive_rng(seed, _STOCHASTIC_SALT[method], rep)
-                for rep in range(config.reps)]
-    assignments, solve_ms = zip(*(_timed(
-        solve_instance, instance, spec, method, seed=rng,
-        team_count=team_count, refine_config=config.refine_config,
-        ga_params=config.ga_params, b=b) for rng in rngs))
-    runtimes = [setup_ms + ms for ms in solve_ms]
-    if method not in _STOCHASTIC_SALT:
-        return evaluate_solution(instance, spec, assignments[0],
+    if method not in _STOCHASTIC:
+        assignment, ms = _solve_once(solved, method, instance, spec, b,
+                                     config.refine_config)
+        return evaluate_solution(instance, spec, assignment,
                                  dataset=config.label, method=method,
-                                 seed=seed, runtime_ms=runtimes[0], b=b)
+                                 seed=seed, runtime_ms=setup_ms + ms, b=b)
+    salt, sizing = _STOCHASTIC[method]
+    team_count = config.team_count
+    if team_count is None:
+        start, sizing_ms = _solve_once(solved, sizing, instance, spec, b,
+                                       config.refine_config)
+        team_count, setup_ms = start.n_teams, setup_ms + sizing_ms
+    assignments, solve_ms = zip(*(_timed(
+        solve_instance, instance, spec, method,
+        seed=derive_rng(seed, salt, rep), team_count=team_count,
+        ga_params=config.ga_params, b=b) for rep in range(config.reps)))
     return _mean_record(evaluate_solutions(
-        instance, spec, assignments, runtimes, dataset=config.label,
-        method=method, seed=seed, b=b), seed)
+        instance, spec, assignments, [setup_ms + ms for ms in solve_ms],
+        dataset=config.label, method=method, seed=seed, b=b), seed)
 
 
 def _format_cell(value) -> str:

@@ -539,6 +539,20 @@ class TestExperiment:
                      "--seeds", "0..x", "--out",
                      str(tmp_path / "m.csv")]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "3..1", "empty seed range '3..1'"),
+        ("--methods", "magic", "unknown method 'magic'; expected one of "
+                               f"{harness.METHODS}"),
+        ("--requirements", "1,x", "invalid value '1,x'"),
+        ("--n", "abc", "invalid int value: 'abc'"),
+    ])
+    def test_flag_error_names_no_function(self, tmp_path, capsys, flag,
+                                          value, message):
+        assert main(["experiment", "--preset", "d1", flag, value,
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"fairteams experiment: error: argument {flag}: {message}")
+
 
 # Runs in a fresh interpreter: the pytest process already holds scipy
 # (test_acceptance imports scipy.stats.binomtest).

@@ -132,7 +132,6 @@ class TestPresets:
         assert len(config.groups) == 2
         assert (config.groups[0].alpha, config.groups[0].beta) == (7.5, 1.0)
         assert (config.groups[1].alpha, config.groups[1].beta) == (1.0, 7.5)
-        assert config.n_students == 100
 
     def test_case_insensitive(self):
         config = preset_config("D1", 10)

@@ -298,10 +298,10 @@ GOLDEN_PRESET_CSV = "397cf66ac541f6f8139ce310a28587ee4f315dac7a809e6590fc136ba13
 GOLDEN_ROSTER_CSV = "260390c8b4701ba87990525ef64814d4cc0c9c04368cf173ce20f1000a541ff0"
 
 
-def _roster_config(tmp_path):
+def _roster_config(tmp_path, seeds=(3, 4)):
     path = tmp_path / "class.csv"
     save_roster(generate_dataset(preset_config("d3", 20), seed=5), path)
-    return ExperimentConfig(seeds=(3, 4), methods=_ALL_METHODS, preset=None,
+    return ExperimentConfig(seeds=seeds, methods=_ALL_METHODS, preset=None,
                             roster=str(path), reps=3, ga_params=_SMALL_GA)
 
 
@@ -362,6 +362,46 @@ class TestExperimentWork:
             methods=("random", "umeans", "ga"), team_count=4))
         assert not result.failures
         assert gmbf_calls[0] == 0
+
+    @pytest.mark.parametrize("source", ["preset", "roster"])
+    def test_each_roster_solves_gmbf_and_fern_once(self, monkeypatch,
+                                                   tmp_path, source):
+        gmbf_calls = _count_calls(monkeypatch, harness, "gmbf")
+        fmhc_calls = _count_calls(monkeypatch, harness, "fmhc")
+        if source == "preset":  # a new roster per seed
+            result = run_experiment(_preset_config())
+            assert (gmbf_calls[0], fmhc_calls[0]) == (2, 2)
+        else:  # one roster for every seed
+            result = run_experiment(_roster_config(tmp_path, (3, 4, 5)))
+            assert (gmbf_calls[0], fmhc_calls[0]) == (1, 1)
+            # every seed's row reports the time of the one solve
+            for method in ("fern", "gmbf"):
+                assert len({r.runtime_ms for r in result.records
+                            if r.method == method}) == 1
+        assert not result.failures
+
+    @pytest.mark.parametrize("team_count", [None, 4])
+    def test_failed_solve_fails_each_dependent_cell(self, monkeypatch,
+                                                    team_count):
+        calls = [0]
+
+        def broken(*args, **kwargs):
+            calls[0] += 1
+            raise ValidationError("no start")
+
+        monkeypatch.setattr(harness, "gmbf", broken)
+        result = run_experiment(_preset_config(team_count=team_count))
+        # with a team count only fern and gmbf need gmbf's solve
+        failed = _ALL_METHODS if team_count is None else ("fern", "gmbf")
+        assert [(f.method, f.seed) for f in result.failures] == [
+            (m, seed) for seed in (0, 1) for m in failed]
+        assert {f.message for f in result.failures} \
+            == {"ValidationError: no start"}
+        # a failure is not kept: each failing cell ran the solve again
+        assert calls[0] == len(result.failures)
+        written = set(_ALL_METHODS) - set(failed)
+        assert {(r.method, r.seed) for r in result.records} \
+            == {(m, seed) for seed in (0, 1) for m in written}
 
 
 class TestMetricsCsv:
