@@ -155,8 +155,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     specs = _OPTS[command]
     unknown = set(config) - set(specs)
     if unknown:
-        raise ValidationError(
-            f"unknown config keys: {', '.join(sorted(unknown))}")
+        # a key with a control character is quoted so the message stays
+        # on one line
+        names = (k if k.isprintable() else repr(k) for k in sorted(unknown))
+        raise ValidationError(f"unknown config keys: {', '.join(names)}")
     out = {}
     for dest, (convert, default, _) in specs.items():
         value = getattr(args, dest)
