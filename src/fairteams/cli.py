@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -175,7 +176,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return out
 
 
-def _build_task_spec(k: int, opts: dict) -> TaskSpec:
+def _build_task_spec(n: int, k: int, opts: dict) -> TaskSpec:
+    """The spec for n students with k skills. A requirement r whose squared
+    shortfall, summed over k skills and up to n teams (k*n*r^2), is not
+    finite is rejected: the objective would read inf."""
     reqs = opts["requirements"]
     if reqs is None:
         reqs = default_spec(k).requirements
@@ -184,8 +188,13 @@ def _build_task_spec(k: int, opts: dict) -> TaskSpec:
     elif len(reqs) != k:
         raise ValidationError(
             f"expected {k} requirement values, got {len(reqs)}")
-    return TaskSpec(reqs, gamma=opts["gamma"], delta=opts["delta"],
+    spec = TaskSpec(reqs, gamma=opts["gamma"], delta=opts["delta"],
                     benefit_epsilon=opts["benefit_epsilon"])
+    top = float(spec.requirements.max())
+    if not math.isfinite(k * n * top * top):
+        raise ValidationError(f"requirement {top!r} is too large: "
+                              f"k*N*r^2 overflows for k={k}, N={n}")
+    return spec
 
 
 def write_assignment(instance: Instance, assignment: Assignment,
@@ -256,7 +265,7 @@ def _cmd_solve(args) -> int:
     if not opts["roster"]:
         raise ValidationError("solve requires --roster")
     instance = load_instance(opts["roster"])
-    spec = _build_task_spec(instance.k, opts)
+    spec = _build_task_spec(instance.n, instance.k, opts)
     start = time.perf_counter()
     b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     assignment = solve_instance(
@@ -278,7 +287,7 @@ def _cmd_evaluate(args) -> int:
     if not opts["roster"] or not opts["assignment"]:
         raise ValidationError("evaluate requires --roster and --assignment")
     instance = load_instance(opts["roster"])
-    spec = _build_task_spec(instance.k, opts)
+    spec = _build_task_spec(instance.n, instance.k, opts)
     assignment = load_assignment(opts["assignment"], instance)
     record = evaluate_solution(instance, spec, assignment,
                                dataset=roster_label(opts["roster"]),
@@ -292,9 +301,10 @@ def _cmd_experiment(args) -> int:
     if bool(opts["preset"]) == bool(opts["roster"]):
         raise ValidationError(
             "experiment requires exactly one of --preset or --roster")
-    skill_dims = (load_instance(opts["roster"]).k if opts["roster"]
-                  else opts["skills"])
-    spec = _build_task_spec(skill_dims, opts)
+    # a roster is read once, here, and handed to run_experiment
+    roster = load_instance(opts["roster"]) if opts["roster"] else None
+    spec = _build_task_spec(roster.n if roster else opts["n"],
+                            roster.k if roster else opts["skills"], opts)
     config = ExperimentConfig(
         seeds=opts["seeds"], methods=opts["methods"],
         preset=opts["preset"], roster=opts["roster"],
@@ -302,7 +312,7 @@ def _cmd_experiment(args) -> int:
         n_groups=opts["groups"], reps=opts["reps"], spec=spec,
         team_count=opts["team_count"],
         refine_config=RefineConfig(gain_epsilon=opts["gain_epsilon"]))
-    result = run_experiment(config)
+    result = run_experiment(config, roster)
     if result.records:
         write_metrics_csv(result.records, opts["out"],
                           aggregates=result.aggregates)

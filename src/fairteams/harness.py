@@ -8,6 +8,7 @@ stays on fraction scale, exactly as the optimizer sees it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import time
@@ -31,6 +32,8 @@ _STOCHASTIC = {"random": (1, "gmbf"), "umeans": (2, "gmbf"), "ga": (3, "fern")}
 
 METRIC_COLUMNS = ("n", "l_final", "pct_teams_met", "y_pct", "z_pct",
                   "objective", "runtime_ms")
+
+_FAILURES = (ValueError, ArithmeticError)  # ValidationError is a ValueError
 
 
 @dataclass(frozen=True)
@@ -136,16 +139,31 @@ def solve_instance(instance: Instance, spec: TaskSpec, method: str,
 def _solve_once(solved, method, instance, spec, b, refine_config):
     """gmbf's or fern's (assignment, ms), kept in solved so that each is
     run once per dict; fern's ms includes its gmbf start. A failed solve is
-    not kept: the next caller runs it again and fails the same way."""
-    if method == "gmbf" and method not in solved:
-        solved[method] = _timed(gmbf, instance, spec, b)
-    elif method not in solved:
-        start, start_ms = _solve_once(solved, "gmbf", instance, spec, b,
-                                      refine_config)
-        result, ms = _timed(fmhc, instance, spec, b, start,
-                            config=refine_config)
-        solved[method] = (result, start_ms + ms)
+    kept as its error and raised again for every caller."""
+    if method not in solved:
+        try:
+            if method == "gmbf":
+                solved[method] = _timed(gmbf, instance, spec, b)
+            else:
+                _refine_starts([(instance, b, solved)], spec, refine_config)
+        except _FAILURES as exc:
+            solved[method] = exc
+    if isinstance(solved[method], Exception):
+        raise solved[method]
     return solved[method]
+
+
+def _refine_starts(rosters, spec, refine_config):
+    """Refine the gmbf starts of (instance, b, solved) rosters with one fmhc
+    call and keep each fern in its solved; a fern's ms is its start's plus
+    its share (call time / rosters) of the call."""
+    starts = [_solve_once(solved, "gmbf", instance, spec, b, refine_config)
+              for instance, b, solved in rosters]
+    instances, bs, solves = zip(*rosters)
+    results, ms = _timed(fmhc, list(instances), spec, list(bs),
+                         [start for start, _ in starts], config=refine_config)
+    for solved, (_, start_ms), result in zip(solves, starts, results):
+        solved["fern"] = (result, start_ms + ms / len(rosters))
 
 
 @dataclass(frozen=True)
@@ -224,30 +242,45 @@ def _mean_record(rows: list[MetricsRecord], seed: int | str,
                    gben_pct=tuple(stat[base:]))
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig,
+                   instance: Instance | None = None) -> ExperimentResult:
     """Per-seed records plus per-method mean and standard-error rows.
 
-    A failed run is recorded with its identity and the batch continues.
+    instance, when given, is config.roster already loaded. Every roster is
+    built first, with its benefit matrix, and when a cell needs fern, one
+    fmhc call refines every roster's gmbf start. A failed run is recorded
+    with its identity and the batch continues.
     """
-    records: list[MetricsRecord] = []
-    failures: list[RunFailure] = []
+    seeds = []  # (seed, instance, b, b_ms, solved); one roster for --roster
     for i, seed in enumerate(config.seeds):
         if i == 0 or config.roster is None:
             instance = (
-                load_instance(config.roster) if config.roster is not None
-                else generate_dataset(preset_config(
+                generate_dataset(preset_config(
                     config.preset, config.n_students,
                     skill_dims=config.skill_dims,
-                    n_groups=config.n_groups), seed=seed))
+                    n_groups=config.n_groups), seed=seed)
+                if config.roster is None
+                else instance or load_instance(config.roster))
             spec = config.spec or default_spec(instance.k)
             b, b_ms = _timed(compute_benefit_matrix, instance,
                              spec.benefit_epsilon)
             solved: dict = {}  # this roster's gmbf and fern solves
+        seeds.append((seed, instance, b, b_ms, solved))
+    if "fern" in config.methods or (
+            "ga" in config.methods and config.team_count is None):
+        # on a failure, each roster's fern cell solves it alone
+        with contextlib.suppress(*_FAILURES):
+            _refine_starts(list({id(s[-1]): (s[1], s[2], s[-1])
+                                 for s in seeds}.values()),
+                           spec, config.refine_config)
+    records: list[MetricsRecord] = []
+    failures: list[RunFailure] = []
+    for seed, instance, b, b_ms, solved in seeds:
         for method in config.methods:
             try:
                 records.append(_run_cell(config, spec, instance, b, b_ms,
                                          solved, method, seed))
-            except (ValidationError, ValueError, ArithmeticError) as exc:
+            except _FAILURES as exc:
                 failures.append(RunFailure(config.label, method, seed,
                                            f"{type(exc).__name__}: {exc}"))
     records.sort(key=lambda r: (r.dataset, r.method, r.seed))

@@ -1,4 +1,4 @@
-"""Hill-climbing refinement of an assignment.
+"""Hill-climbing refinement of an assignment, over one roster or many.
 
 Two refiners over the single-student move neighborhood:
 
@@ -10,6 +10,15 @@ Two refiners over the single-student move neighborhood:
 
 Both take the row-major first maximum of the gain matrix, so ties go to the
 lower student, then the lower destination.
+
+SolverState holds R rosters of one size, their team slots padded to the
+most of any (padded slots stay inactive); a single solve is the batch of
+one. fmhc climbs blocks of rosters in lockstep rounds: a round runs one pass
+of every roster still climbing, one move per roster per gain_matrix call,
+and a roster whose best gain is -inf ends its pass. Each then commits its
+own best prefix, or stops, merges its singletons and climbs again if a
+merge moved anyone. Every sum runs over one roster's own students, slots or
+teammates, so each roster gets the bits of its lone solve.
 
 The gain of moving student x to team d is f(before) - f(after). SolverState
 caches, per (x, d) cell, every term that does not depend on the global sums.
@@ -40,6 +49,12 @@ from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
 from .errors import ValidationError
 
 
+# Byte budget for the (m, R*N, slots) cell cache of one lockstep batch.
+# A pass holds the state, its tentative clone and a few cache-sized
+# temporaries, so this bounds fmhc's peak memory over many small rosters.
+_BATCH_BYTES = 1 << 17
+
+
 @dataclass(frozen=True)
 class RefineConfig:
     """gain_epsilon: smallest pass gain fmhc still commits (finite, > 0)."""
@@ -59,12 +74,12 @@ def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
     return _pairwise_sum(list(np.square(short, out=short)))
 
 
-def _group_change(own, safe, stay, benefit_to, src_delta, benefit_vs, ind,
+def _group_change(d, safe, stay, src_delta, benefit_vs, ind,
                   in_group) -> np.ndarray:
-    """D_q of a block of moves from arguments that broadcast to it: the
-    destination's members (benefit sum own, share stay, size max safe) gain
-    the mover, src_delta is the source's change, and in_group the mover's."""
-    d = own + benefit_to
+    """D_q of a block of moves, in place in d, the destination members'
+    benefit sum with the mover's added, from arguments that broadcast to it:
+    the destination's members (share stay, size max safe) gain the mover,
+    src_delta is the source's change, and in_group the mover's."""
     d /= safe
     d -= stay
     d += src_delta
@@ -93,95 +108,126 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 
 class SolverState:
-    """Mutable assignment plus every cache the gain formula needs.
+    """Mutable assignments of R rosters plus every cache the gain formula
+    needs.
 
-    Team slots are fixed at construction; a slot that empties goes inactive
-    and never comes back. Per-group arrays are group-major and per-skill
-    arrays skill-major. Cell (i, l) caches what does not depend on the global
-    sums: D_q, the change of group q's benefit sum when student i moves to
-    slot l (_group_delta, (m, N, slots)), and slot l's deficiency with i
-    added (_def_dest_new). Row i caches what i's own team loses (_src_delta,
-    (m, N); _def_src_new). A cell depends only on slot l and on i's team.
+    The rosters share N, m, k and the spec; slots are fixed at construction
+    and padded to the most of any roster, and a slot that empties goes
+    inactive for good. team_of is (R, N); sizes, active and defic (R,
+    slots). The other arrays, group- or skill-major, put roster r's students
+    at r*N.. and its slots at r*slots.. of one flat axis. Cell (i, l) caches
+    what does not depend on the global sums: D_q, the change of group q's
+    benefit sum when student i moves to slot l (_group_delta, (m, R*N,
+    slots)), and slot l's deficiency with i added (_def_dest_new). Row i
+    caches what i's own team loses (_src_delta, (m, R*N); _def_src_new).
     """
 
-    def __init__(self, instance: Instance, spec: TaskSpec, b: np.ndarray,
-                 team_of: np.ndarray, n_slots: int):
-        self.inst, self.spec, self.b = instance, spec, b
-        self.team_of = np.array(team_of, dtype=np.int64)
-        self.n_slots = s = int(n_slots)
-        n, m, k = instance.n, instance.m, instance.k
-        self._in_group = instance.groups == np.arange(m)[:, None]
-        self._skills = np.ascontiguousarray(instance.skills.T)
+    def __init__(self, instances, spec: TaskSpec, b, team_of, n_slots):
+        self.instances, self.spec = list(instances), spec
+        n, m, k = self.n, self.m, self.k = (
+            self.instances[0].n, self.instances[0].m, self.instances[0].k)
+        if any((i.n, i.m, i.k) != (n, m, k) for i in self.instances):
+            raise ValidationError("the rosters of one state must share their "
+                                  "size, group count and skill count")
+        r = len(self.instances)
+        self.b = np.stack(b)
+        self.team_of = np.array(team_of, dtype=np.int64).reshape(r, n)
+        self.n_slots = np.array(n_slots, dtype=np.int64).reshape(r)
+        s, at = int(self.n_slots.max()), np.arange(r)[:, None]
+        groups = np.stack([i.groups for i in self.instances])
+        self.groups = groups.ravel()
+        self._in_group = (groups == np.arange(m)[:, None, None]).reshape(m, -1)
+        self._skills = np.stack([i.skills.T for i in self.instances],
+                                1).reshape(k, -1)
 
         # float counts: the divisions by team sizes need no casts
-        self.sizes = np.bincount(self.team_of, minlength=s).astype(float)
+        slot_at = (self.team_of + s * at).ravel()  # on the flat slot axis
+        self.sizes = np.bincount(slot_at, minlength=r * s).reshape(r, s) * 1.0
         self.active = self.sizes > 0
-        self.n_active = int(self.active.sum())
-        self.members = [[] for _ in range(s)]  # ascending student ids
-        for student, slot in enumerate(self.team_of.tolist()):
-            self.members[slot].append(student)
-        self.sums = np.zeros((k, s))
-        np.add.at(self.sums.T, self.team_of, instance.skills)
-        self.defic = np.where(
-            self.active, _deficiency(self.sums, spec.requirements), 0.0)
-        self.defic_total = float(self.defic.sum())
+        self.n_active = self.active.sum(axis=1)
+        self.members = [[[] for _ in range(s)] for _ in range(r)]  # ascending
+        for teams, row in zip(self.members, self.team_of.tolist()):
+            for student, slot in enumerate(row):
+                teams[slot].append(student)
+        self.sums = np.zeros((k, r * s))
+        np.add.at(self.sums.T, slot_at, self._skills.T)
+        self.defic = np.where(self.active, _deficiency(
+            self.sums, spec.requirements).reshape(r, s), 0.0)
+        # each over its roster's own slots or students, as a lone solve
+        self.defic_total = np.array([row[:count].sum() for row, count
+                                     in zip(self.defic, self.n_slots)])
 
-        membership = np.zeros((n, s))
-        membership[np.arange(n), self.team_of] = 1.0
-        # benefit_vs_team[i, l]: teammates-of-l that student i benefits from
-        self.benefit_vs_team = b @ membership
-        # benefit_to_team[q, i, l]: group-q members of team l benefiting from i
-        self.benefit_to_team = np.ascontiguousarray(np.einsum(
-            "ji,jl,qj->qil", b, membership, self._in_group, optimize=True))
-        rows, n_team = np.arange(n), self.sizes[self.team_of]
-        own = self.benefit_vs_team[rows, self.team_of]
+        # benefit_vs_team[i, l]: teammates-of-l that student i benefits
+        # from; benefit_to_team[q, i, l]: group-q members of l that benefit
+        # from i; one roster at a time, which keeps the temporaries small
+        self.benefit_vs_team = np.empty((r * n, s))
+        self.benefit_to_team = np.empty((m, r * n, s))
+        for at in range(r):
+            mine = slice(at * n, at * n + n)
+            membership = np.eye(s)[self.team_of[at]]
+            self.benefit_vs_team[mine] = self.b[at] @ membership
+            self.benefit_to_team[:, mine] = self.b[at].T @ (
+                membership * self._in_group[:, mine, None])
+        rows, n_team = np.arange(r * n), self.sizes.take(slot_at)
+        own = self.benefit_vs_team[rows, self.team_of.ravel()]
         # share of teammates each benefits from (own is 0 for a lone one)
         self.ind = own / np.maximum(n_team - 1, 1.0)
-        self.ind_total = float(self.ind.sum())
+        self.ind_total = np.array([row.sum() for row in self.ind.reshape(r, n)])
+        # each student's group on the flat (roster, group) axis
+        self._group_at = self.groups + m * np.repeat(np.arange(r), n)
         self.group_counts = np.bincount(
-            instance.groups, minlength=m).astype(float)
-        self.group_sums = np.bincount(
-            instance.groups, weights=self.ind, minlength=m)
-        # own_by_group[q, l]: benefit_vs_team[:, l] summed over l's group q
-        self.own_by_group = np.zeros((m, s))
-        np.add.at(self.own_by_group, (instance.groups, self.team_of), own)
-        self._src_delta, self._def_src_new = np.empty((m, n)), np.empty(n)
-        self._group_delta = np.empty((m, n, s))
-        self._def_dest_new = np.empty((n, s))
-        # (rows, cols, their team, its size, own benefit) per unread apply
-        self._pending = [(rows, np.arange(s), self.team_of, n_team, own)]
-        self._refresh()
+            self._group_at, minlength=r * m).reshape(r, m) * 1.0
+        self.group_sums = np.bincount(self._group_at, weights=self.ind,
+                                      minlength=r * m).reshape(r, m)
+        # own_by_group[q, l]: benefit_vs_team[:, l] over l's group q
+        self.own_by_group = np.zeros((m, r * s))
+        np.add.at(self.own_by_group, (self.groups, slot_at), own)
+        self._src_delta, self._def_src_new = (np.empty((m, r * n)),
+                                              np.empty(r * n))
+        self._group_delta = np.empty((m, r * n, s))
+        self._def_dest_new = np.empty((r * n, s))
+        # (rows, cols, their team, its size, own benefit) per unread apply,
+        # on the flat axes, and the rosters they move (_stale); the build
+        # refreshes one roster at a time
+        for at in range(r):
+            mine = slice(at * n, at * n + n)
+            self._pending = [(rows[mine], np.arange(at * s, at * s + s),
+                              slot_at[mine], n_team[mine], own[mine])]
+            self._refresh()
 
     @classmethod
-    def from_assignment(cls, instance: Instance, spec: TaskSpec,
-                        b: np.ndarray, assignment: Assignment) -> "SolverState":
-        return cls(instance, spec, b, assignment.team_of, assignment.n_teams)
+    def from_assignment(cls, instances, spec: TaskSpec, b,
+                        assignments) -> "SolverState":
+        return cls(instances, spec, b, [a.team_of for a in assignments],
+                   [a.n_teams for a in assignments])
 
     def _refresh(self):
         """Recompute the row terms and cells of the queued rows (src, n_src,
         own_vs_src: their team, its size, how many in it they benefit from)
         and of the queued cols: one move's as queued, several moves' union."""
-        pending, self._pending = self._pending, []
+        pending, self._pending, self._stale = self._pending, [], set()
         if not pending:
             return
+        (r, n), (m, s) = self.team_of.shape, self._group_delta.shape[::2]
         rows, cols, src, n_src, own_vs_src = pending[0]
         if len(pending) > 1:
             rows, cols = (np.flatnonzero(np.bincount(np.concatenate(part),
                                                      minlength=size))
                           for part, size in zip(zip(*pending),
-                                                (self.inst.n, self.n_slots)))
-            src = self.team_of.take(rows)
+                                                (r * n, r * s)))
+            src = rows // n * s + self.team_of.take(rows)
             n_src = self.sizes.take(src)
-            own_vs_src = self.benefit_vs_team[rows, src]
+            own_vs_src = self.benefit_vs_team.take(rows * s + src % s)
         own, sizes, req = self.own_by_group, self.sizes, self.spec.requirements
         # per slot: max(size, 1) and each group's current mean share
         safe = np.maximum(sizes, 1.0)
-        stay = own / np.maximum(sizes - 1, 1.0)
+        stay = own / np.maximum(sizes.reshape(-1) - 1, 1.0)
         # what each student leaves behind: its team's change per group ...
-        left = own.take(src, 1) - self._in_group.take(rows, 1) * own_vs_src
+        in_group = self._in_group.take(rows, 1)
+        left = own.take(src, 1) - in_group * own_vs_src
         # in a team of one or two, left equals benefit_to (both count the
         # partner's benefit from the student), so the new share is 0
-        new = ((left - self.benefit_to_team[:, rows, src])
+        new = ((left - self.benefit_to_team[:, rows, src % s])
                / np.maximum(n_src - 2, 1.0))
         self._src_delta[:, rows] = src_delta = new - left / np.maximum(
             n_src - 1, 1.0)
@@ -190,196 +236,246 @@ class SolverState:
             self.sums.take(src, 1) - self._skills.take(rows, 1), req
         ) * (n_src > 1)
 
-        block = _group_change(
-            own[:, None], safe, stay[:, None],
-            self.benefit_to_team.take(rows, 1), src_delta[:, :, None],
-            self.benefit_vs_team.take(rows, 0), self.ind.take(rows)[:, None],
-            self._in_group.take(rows, 1)[:, :, None])
-        self._group_delta[:, rows] = block
-        if rows.size < self.inst.n:  # else every cell is already fresh
-            # the columns slot-major, (m, C, N): each array pass runs along N
+        roster = rows // n  # each row's own roster's slots
+        d = own.reshape(m, r, s).take(roster, 1)
+        d += self.benefit_to_team.take(rows, 1)
+        self._group_delta[:, rows] = _group_change(
+            d, safe.take(roster, 0), stay.reshape(m, r, s).take(roster, 1),
+            src_delta[:, :, None], self.benefit_vs_team.take(rows, 0),
+            self.ind.take(rows)[:, None], in_group[:, :, None])
+        # each column's cells, (C, N): its roster's students in that slot
+        cells = (cols // s * n * s + cols % s)[:, None] + np.arange(n) * s
+        col_rows = cells // s
+        if rows.size < r * n:  # else every cell is already fresh
             block = _group_change(
-                own.take(cols, 1)[:, :, None], safe.take(cols)[:, None],
-                stay.take(cols, 1)[:, :, None],
-                self.benefit_to_team.take(cols, 2).transpose(0, 2, 1).copy(),
-                self._src_delta[:, None],
-                self.benefit_vs_team.take(cols, 1).T.copy(), self.ind,
-                self._in_group[:, None])
-            self._group_delta[:, :, cols] = block.transpose(0, 2, 1)
-        self._def_dest_new[:, cols] = _deficiency(
-            self.sums.take(cols, 1)[:, :, None] + self._skills[:, None], req).T
+                own.take(cols, 1)[:, :, None]
+                + self.benefit_to_team.reshape(m, -1).take(cells, 1),
+                safe.take(cols)[:, None], stay.take(cols, 1)[:, :, None],
+                self._src_delta.take(col_rows, 1),
+                self.benefit_vs_team.take(cells), self.ind.take(col_rows),
+                self._in_group.take(col_rows, 1))
+            self._group_delta.reshape(m, -1)[:, cells] = block
+        self._def_dest_new.reshape(-1)[cells] = _deficiency(
+            self.sums.take(cols, 1)[:, :, None]
+            + self._skills.take(col_rows, 1), req)
 
     def clone(self) -> "SolverState":
         self._refresh()
         other = object.__new__(SolverState)
-        # scalars and shared arrays; the queue is empty after _refresh
-        other.__dict__.update(self.__dict__, _pending=[])
-        for name in ("team_of", "sizes", "active", "sums", "defic",
-                     "benefit_vs_team", "benefit_to_team", "ind", "group_sums",
+        # shared arrays; the queue is empty after _refresh
+        other.__dict__.update(self.__dict__, _pending=[], _stale=set())
+        for name in ("team_of", "sizes", "active", "n_active", "sums",
+                     "defic", "defic_total", "benefit_vs_team",
+                     "benefit_to_team", "ind", "ind_total", "group_sums",
                      "own_by_group", "_src_delta", "_def_src_new",
                      "_group_delta", "_def_dest_new"):
             setattr(other, name, getattr(self, name).copy())
-        other.members = [list(team) for team in self.members]
+        other.members = [[list(team) for team in teams]
+                         for teams in self.members]
         return other
 
     def objective(self) -> ObjectiveBreakdown:
-        """x, y, z and f as Python floats, summed in numpy's order."""
-        inst, spec = self.inst, self.spec
-        x = self.defic_total / (self.n_active * inst.k)
-        y = self.ind_total / inst.n
-        means = (self.group_sums / self.group_counts).tolist()
-        mean = _pairwise_sum(means) / inst.m  # np.var, unwrapped
-        z = _pairwise_sum([(v - mean) * (v - mean) for v in means]) / inst.m
-        return ObjectiveBreakdown(x, y, z, x - spec.gamma * y + spec.delta * z)
+        """x, y, z and f, (R,) arrays of each roster's Python floats summed
+        in numpy's order."""
+        terms, spec = [], self.spec
+        for defic, n_active, ind, means in zip(
+                self.defic_total.tolist(), self.n_active.tolist(),
+                self.ind_total.tolist(),
+                (self.group_sums / self.group_counts).tolist()):
+            x, y = defic / (n_active * self.k), ind / self.n
+            mean = _pairwise_sum(means) / self.m  # np.var, unwrapped
+            z = _pairwise_sum([(v - mean) * (v - mean)
+                               for v in means]) / self.m
+            terms.append((x, y, z, x - spec.gamma * y + spec.delta * z))
+        return ObjectiveBreakdown(*np.array(terms).T)
 
-    def assignment(self) -> Assignment:
-        return compact_assignment(self.team_of)
+    def assignments(self) -> list[Assignment]:
+        return [compact_assignment(row) for row in self.team_of]
 
     def gain_matrix(self, locked: np.ndarray | None = None) -> np.ndarray:
-        """(n_live, n_slots) gains of the students not set in the bool mask
-        locked, in ascending student order; -inf where invalid (the
-        student's own team, inactive slots)."""
+        """(R', L, slots) gains of the R' rosters, ascending, that have a
+        student not set in the bool (R, N) mask locked (each must have L):
+        row j is a roster's j-th unlocked student in ascending order. -inf
+        where invalid (the student's own team, inactive slots)."""
         self._refresh()
-        inst, spec = self.inst, self.spec
-        n, m = inst.n, inst.m
-        live = np.arange(n) if locked is None else np.flatnonzero(~locked)
+        (r, n), (m, s) = self.team_of.shape, self._group_delta.shape[::2]
+        free = np.ones((r, n), dtype=bool) if locked is None else ~locked
+        counts = free.sum(axis=1).tolist()
+        rosters = [at for at, count in enumerate(counts) if count]
+        shape = (len(rosters), max(counts))
+        if sum(counts) != shape[0] * shape[1]:
+            raise ValidationError("live rosters must have the same number "
+                                  "of unlocked students")
+        live = free.ravel().nonzero()[0]
+        part = slice(None) if shape[0] == r else rosters  # views if all
         src = self.team_of.take(live)
-        empties = self.sizes.take(src) == 1
+        src_at = live // n * s + src
+        empties = (self.sizes.take(src_at) == 1).reshape(shape)
 
         # the new benefit sum, each group's new mean benefit, and z
-        g = self._group_delta.take(live, 1)
-        y_new = _pairwise_sum(list(g)) + self.ind_total
-        g += self.group_sums[:, None, None]
-        g /= self.group_counts[:, None, None]
-        mean = _pairwise_sum(list(g)) / m
-        g -= mean
+        g = self._group_delta.take(live, 1).reshape(m, *shape, s)
+        y_new = _pairwise_sum(list(g)) + self.ind_total[part, None, None]
+        g += self.group_sums[part].T[:, :, None, None]
+        g /= self.group_counts[part].T[:, :, None, None]
+        g -= _pairwise_sum(list(g)) / m  # each group's mean
         z_new = _pairwise_sum(list(np.square(g, out=g)))
+        del g
         z_new /= m
         y_new /= n
 
-        x_new = np.subtract(
-            (self.defic_total - self.defic.take(src))[:, None], self.defic)
-        x_new += self._def_src_new.take(live)[:, None]
-        x_new += self._def_dest_new.take(live, 0)
-        x_new /= ((self.n_active - empties) * float(inst.k))[:, None]
+        x_new = np.subtract((self.defic_total[part, None] - self.defic.take(
+            src_at).reshape(shape))[:, :, None], self.defic[part, None])
+        x_new += self._def_src_new.take(live).reshape(*shape, 1)
+        x_new += self._def_dest_new.take(live, 0).reshape(*shape, s)
+        x_new /= ((self.n_active[part, None] - empties)
+                  * float(self.k))[:, :, None]
 
         # gains = f - (x_new - gamma * y_new + delta * z_new)
-        y_new *= spec.gamma
+        y_new *= self.spec.gamma
         x_new -= y_new
-        z_new *= spec.delta
+        z_new *= self.spec.delta
         x_new += z_new
-        gains = np.subtract(self.objective().f, x_new, out=x_new)
-        if self.n_active < self.n_slots:
-            gains[:, ~self.active] = -np.inf
-        gains[np.arange(live.size), src] = -np.inf
+        gains = np.subtract(self.objective().f[part, None, None], x_new,
+                            out=x_new)
+        active = self.active[part]
+        if not active.all():
+            gains.transpose(0, 2, 1)[~active] = -np.inf
+        gains.reshape(-1, s)[np.arange(live.size), src] = -np.inf
         return gains
 
-    def gain(self, student: int, dest: int) -> float:
+    def gain(self, student: int, dest: int, roster: int = 0) -> float:
         """Single-move gain: gain_matrix with every other student locked."""
-        if dest == self.team_of[student]:
+        if dest == self.team_of[roster, student]:
             raise ValidationError("self-moves have no gain")
-        if not (0 <= dest < self.n_slots) or not self.active[dest]:
+        if not (0 <= dest < self.n_slots[roster]) or \
+                not self.active[roster, dest]:
             raise ValidationError(f"destination team {dest} does not exist")
-        others = np.arange(self.inst.n) != student
-        return float(self.gain_matrix(others)[0, dest])
+        locked = np.ones(self.team_of.shape, dtype=bool)
+        locked[roster, student] = False
+        return float(self.gain_matrix(locked)[0, 0, dest])
 
-    def apply(self, student: int, dest: int):
-        """Move the student, update the accumulators, and queue the refresh
-        of two columns and two teams' rows for the next read."""
-        inst = self.inst
-        src = int(self.team_of[student])
+    def apply(self, student: int, dest: int, roster: int = 0):
+        """Move the roster's student, update the accumulators, and queue the
+        refresh of two columns and two teams' rows for the next read."""
+        src = int(self.team_of[roster, student])
         if dest == src:
             raise ValidationError("self-moves are not applicable")
-        if not self.active[dest]:
+        if not self.active[roster, dest]:
             raise ValidationError(f"destination team {dest} does not exist")
-        g = int(inst.groups[student])
-        pair = np.array([src, dest])
+        n, s = self.n, self.sizes.shape[1]
+        # this roster's students and slots on the flat axes, and its views
+        at, mine, theirs = roster * s, slice(roster * s, roster * s + s), \
+            slice(roster * n, roster * n + n)
+        g, pair = int(self.groups[roster * n + student]), np.array([src, dest])
+        sums, skill = self.sums[:, mine], self._skills[:, roster * n + student]
+        sizes, members = self.sizes[roster], self.members[roster]
+        active, defic = self.active[roster], self.defic[roster]
 
-        self.sums[:, src] -= self._skills[:, student]
-        self.sums[:, dest] += self._skills[:, student]
-        self.sizes[src] -= 1
-        self.sizes[dest] += 1
-        self.members[src].remove(student)
-        bisect.insort(self.members[dest], student)
-        if self.sizes[src] == 0:
-            self.active[src] = False
-            self.n_active -= 1
-            self.sums[:, src] = 0.0
-        # both teams' new deficiency, from the new sums while a refresh waits
-        self.defic_total -= self.defic[src] + self.defic[dest]
-        if self._pending:
-            self.defic[pair] = _deficiency(
-                self.sums[:, pair], self.spec.requirements) * self.active[pair]
+        sums[:, src] -= skill
+        sums[:, dest] += skill
+        sizes[src] -= 1
+        sizes[dest] += 1
+        members[src].remove(student)
+        bisect.insort(members[dest], student)
+        if sizes[src] == 0:
+            active[src] = False
+            self.n_active[roster] -= 1
+            sums[:, src] = 0.0
+        # both teams' new deficiency, from the new sums while a refresh of
+        # this roster waits
+        self.defic_total[roster] -= defic[src] + defic[dest]
+        if roster in self._stale:
+            defic[pair] = _deficiency(
+                sums[:, pair], self.spec.requirements) * active[pair]
         else:
-            self.defic[src] = self._def_src_new[student]
-            self.defic[dest] = self._def_dest_new[student, dest]
-        self.defic_total += self.defic[src] + self.defic[dest]
+            defic[src] = self._def_src_new[theirs][student]
+            defic[dest] = self._def_dest_new[theirs][student, dest]
+        self.defic_total[roster] += defic[src] + defic[dest]
+        self._stale.add(roster)
 
         # integer counts, so these updates are exact
-        self.own_by_group[:, src] -= self.benefit_to_team[:, student, src]
-        self.own_by_group[g, src] -= self.benefit_vs_team[student, src]
-        self.own_by_group[:, dest] += self.benefit_to_team[:, student, dest]
-        self.own_by_group[g, dest] += self.benefit_vs_team[student, dest]
-        self.benefit_vs_team[:, src] -= self.b[:, student]
-        self.benefit_vs_team[:, dest] += self.b[:, student]
-        self.benefit_to_team[g, :, src] -= self.b[student]
-        self.benefit_to_team[g, :, dest] += self.b[student]
-        self.team_of[student] = dest
+        own, b = self.own_by_group[:, mine], self.b[roster]
+        vs_team = self.benefit_vs_team[theirs]
+        to_team = self.benefit_to_team[:, theirs]
+        own[:, src] -= to_team[:, student, src]
+        own[g, src] -= vs_team[student, src]
+        own[:, dest] += to_team[:, student, dest]
+        own[g, dest] += vs_team[student, dest]
+        vs_team[:, src] -= b[:, student]
+        vs_team[:, dest] += b[:, student]
+        to_team[g, :, src] -= b[student]
+        to_team[g, :, dest] += b[student]
+        self.team_of[roster, student] = dest
 
         # both teams' members, src's first, each in ascending order
-        n_left = len(self.members[src])
-        rows = np.array(self.members[src] + self.members[dest], dtype=np.int64)
-        slots = self.team_of.take(rows)
-        n_team = self.sizes.take(slots)
-        own = self.benefit_vs_team[rows, slots]
+        n_left = len(members[src])
+        rows = np.array(members[src] + members[dest], dtype=np.int64)
+        slots = self.team_of[roster].take(rows)
+        n_team = sizes.take(slots)
+        own = vs_team[rows, slots]
         ind = own / np.maximum(n_team - 1, 1.0)
-        delta = ind - self.ind.take(rows)
-        self.ind[rows] = ind
-        self.ind_total += float(np.add.reduce(delta[:n_left]))
-        self.ind_total += float(np.add.reduce(delta[n_left:]))
-        np.add.at(self.group_sums, inst.groups.take(rows), delta)
-        self._pending.append((rows, pair, slots, n_team, own))
+        delta = ind - self.ind[theirs].take(rows)
+        self.ind[theirs][rows] = ind
+        self.ind_total[roster] += float(np.add.reduce(delta[:n_left]))
+        self.ind_total[roster] += float(np.add.reduce(delta[n_left:]))
+        np.add.at(self.group_sums[roster], self.groups[theirs].take(rows),
+                  delta)
+        self._pending.append((rows + roster * n, pair + at, slots + at,
+                              n_team, own))
 
 
-def _best_move(gains: np.ndarray) -> tuple[int, int, float]:
-    """(row, dest, gain) of the row-major first maximum."""
-    row, dest = divmod(int(np.argmax(gains)), gains.shape[1])
-    return row, dest, float(gains[row, dest])
+def _best_moves(state: SolverState, locked: np.ndarray) -> list[tuple]:
+    """(roster, student, dest, gain) of each live roster's row-major first
+    maximum, in roster order."""
+    gains = state.gain_matrix(locked)
+    flat = gains.reshape(len(gains), -1)
+    live = (~locked).ravel().nonzero()[0].reshape(len(gains), -1)
+    moves, s = [], gains.shape[2]
+    for row_live, row, cell in zip(live, flat, flat.argmax(axis=1).tolist()):
+        roster, student = divmod(int(row_live[cell // s]), state.n)
+        moves.append((roster, student, cell % s, float(row[cell])))
+    return moves
 
 
-def _merge_singletons(state: SolverState) -> bool:
-    """Move each singleton's student, lowest slot first, to the team that
-    minimizes the objective (ties to the lower slot); True if any moved."""
-    changed = False
-    while state.n_active >= 2:
-        single = np.flatnonzero(state.active & (state.sizes == 1))
-        if single.size == 0:
-            break
-        student = state.members[single[0]][0]
-        gains = state.gain_matrix(np.arange(state.inst.n) != student)
-        state.apply(student, int(np.argmax(gains[0])))
-        changed = True
-    return changed
+def _merge_singletons(state: SolverState, merging: np.ndarray) -> np.ndarray:
+    """In each merging roster, move each singleton's student, lowest slot
+    first, to the team that minimizes the objective (ties to the lower
+    slot); returns which rosters had a student move."""
+    changed = np.zeros_like(merging)
+    while True:
+        single = state.active & (state.sizes == 1)
+        single &= (merging & (state.n_active >= 2))[:, None]
+        rosters = np.flatnonzero(single.any(axis=1))
+        if rosters.size == 0:
+            return changed
+        students = [state.members[r][slot][0] for r, slot in zip(
+            rosters.tolist(), single[rosters].argmax(axis=1).tolist())]
+        locked = np.ones(state.team_of.shape, dtype=bool)
+        locked[rosters, students] = False
+        for roster, student, gains in zip(rosters.tolist(), students,
+                                          state.gain_matrix(locked)):
+            state.apply(student, int(np.argmax(gains[0])), roster)
+        changed[rosters] = True
 
 
 def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
                 assignment: Assignment) -> Assignment:
     """Merge each singleton team into its best team (a lone team stays)."""
-    state = SolverState.from_assignment(instance, spec, b, assignment)
-    _merge_singletons(state)
-    return state.assignment()
+    state = SolverState.from_assignment([instance], spec, [b], [assignment])
+    _merge_singletons(state, np.ones(1, dtype=bool))
+    return state.assignments()[0]
 
 
-def _refine(instance: Instance, spec: TaskSpec, b: np.ndarray,
-            initial: Assignment, step) -> Assignment:
-    """Run step(state) until no progress, merge singleton teams, and repeat
-    while a merge changes anything (merges only shrink the team count)."""
-    state = SolverState.from_assignment(instance, spec, b, initial)
-    while True:
-        while step(state):
-            pass
-        if not _merge_singletons(state):
-            return state.assignment()
+def _refine(instances, spec: TaskSpec, b, initial, step) -> list[Assignment]:
+    """Run step(state, climbing) in rounds; it returns which rosters made
+    progress. One that made none merges its singleton teams and climbs again
+    while a merge changes anything (merges only shrink team counts)."""
+    state = SolverState.from_assignment(instances, spec, b, initial)
+    climbing = np.ones(len(state.instances), dtype=bool)
+    while climbing.any():
+        moved = step(state, climbing)
+        climbing = moved | _merge_singletons(state, climbing & ~moved)
+    return state.assignments()
 
 
 def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
@@ -390,53 +486,67 @@ def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
     stats.setdefault("iterations", 0)
     stats.setdefault("moves", 0)
 
-    def step(state: SolverState) -> bool:
-        student, dest, gain = _best_move(state.gain_matrix())
+    def step(state: SolverState, climbing: np.ndarray) -> np.ndarray:
+        (_, student, dest, gain), = _best_moves(
+            state, np.zeros(state.team_of.shape, dtype=bool))
         stats["iterations"] += 1
-        if gain <= 0.0:
-            return False
-        state.apply(student, dest)
-        stats["moves"] += 1
-        return True
+        if gain > 0.0:
+            state.apply(student, dest)
+            stats["moves"] += 1
+        return np.array([gain > 0.0])
 
-    return _refine(instance, spec, b, initial, step)
+    return _refine([instance], spec, [b], [initial], step)[0]
 
 
-def _fmhc_pass(state: SolverState, config: RefineConfig) -> bool:
-    """One pass: tentatively move every student, then commit the best prefix
-    if its gain clears gain_epsilon; otherwise leave state and return False."""
+def _fmhc_pass(state: SolverState, climbing: np.ndarray,
+               config: RefineConfig) -> np.ndarray:
+    """One pass of each climbing roster: tentatively move every student,
+    then commit the roster's best prefix if its gain clears gain_epsilon.
+    Returns which rosters committed; the others are left as they were."""
     work = state.clone()
-    locked = np.zeros(state.inst.n, dtype=bool)
-    sequence = []
+    locked = np.repeat(~climbing[:, None], state.n, axis=1)
+    sequences = [[] for _ in climbing]  # each roster's tentative moves
     while not locked.all():
-        row, dest, gain = _best_move(work.gain_matrix(locked))
-        if gain == -np.inf:
-            break
-        student = int(np.flatnonzero(~locked)[row])
-        locked[student] = True
-        work.apply(student, dest)
-        sequence.append((student, dest, gain))
-    if not sequence:
-        return False
-    cumulative = np.cumsum([gain for (_, _, gain) in sequence])
-    best = int(np.argmax(cumulative))  # first max = shortest prefix on ties
-    if cumulative[best] <= config.gain_epsilon:
-        return False
-    for student, dest, _ in sequence[:best + 1]:
-        state.apply(student, dest)
-    return True
+        for roster, student, dest, gain in _best_moves(work, locked):
+            if gain == -np.inf:  # the roster's pass has ended
+                locked[roster] = True
+                continue
+            locked[roster, student] = True
+            work.apply(student, dest, roster)
+            sequences[roster].append((student, dest, gain))
+    committed = np.zeros_like(climbing)
+    for roster, sequence in enumerate(sequences):
+        if not sequence:
+            continue
+        cumulative = np.cumsum([gain for (_, _, gain) in sequence])
+        best = int(np.argmax(cumulative))  # first max = shortest prefix
+        if cumulative[best] > config.gain_epsilon:
+            committed[roster] = True
+            for student, dest, _ in sequence[:best + 1]:
+                state.apply(student, dest, roster)
+    return committed
 
 
-def fmhc(instance: Instance, spec: TaskSpec, b: np.ndarray,
-         initial: Assignment, config: RefineConfig | None = None,
-         stats: dict | None = None) -> Assignment:
-    """Pass-based refinement with uphill moves and prefix commits."""
+def fmhc(instance, spec: TaskSpec, b, initial,
+         config: RefineConfig | None = None, stats: dict | None = None):
+    """Pass-based refinement with uphill moves and prefix commits. Given
+    lists of instances, benefit matrices and initial assignments (rosters
+    of one size, group count and skill count, under one spec), it refines
+    them in lockstep, in blocks of consecutive rosters, and returns a list;
+    stats["passes"] sums their passes."""
     config = config or RefineConfig()
     stats = {} if stats is None else stats
     stats["passes"] = 0
 
-    def step(state: SolverState) -> bool:
-        stats["passes"] += 1
-        return _fmhc_pass(state, config)
+    def step(state: SolverState, climbing: np.ndarray) -> np.ndarray:
+        stats["passes"] += int(climbing.sum())
+        return _fmhc_pass(state, climbing, config)
 
-    return _refine(instance, spec, b, initial, step)
+    if isinstance(instance, Instance):
+        return _refine([instance], spec, [b], [initial], step)[0]
+    # consecutive blocks of rosters whose cell caches fit in _BATCH_BYTES
+    per = max(1, _BATCH_BYTES // (8 * instance[0].m * instance[0].n * max(
+        a.n_teams for a in initial)))
+    return [result for at in range(0, len(instance), per)
+            for result in _refine(instance[at:at + per], spec,
+                                  b[at:at + per], initial[at:at + per], step)]

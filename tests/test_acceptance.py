@@ -56,17 +56,17 @@ def test_01_incremental_gain_matches_recomputed_objective():
         b = compute_benefit_matrix(inst, spec.benefit_epsilon)
         teams = int(rng.integers(2, max(3, inst.n // 3 + 1)))
         state = SolverState.from_assignment(
-            inst, spec, b, random_partition(rng, inst.n, teams))
+            [inst], spec, [b], [random_partition(rng, inst.n, teams)])
         for _ in range(30):
             student = int(rng.integers(inst.n))
-            src = int(state.team_of[student])
-            occupied = np.flatnonzero(state.sizes > 0)
+            src = int(state.team_of[0, student])
+            occupied = np.flatnonzero(state.sizes[0] > 0)
             choices = occupied[occupied != src]
             if choices.size == 0:
                 break
             dest = int(rng.choice(choices))
-            before = _oracle_f(inst, spec, state.team_of, b)
-            moved = state.team_of.copy()
+            before = _oracle_f(inst, spec, state.team_of[0], b)
+            moved = state.team_of[0].copy()
             moved[student] = dest
             after = _oracle_f(inst, spec, moved, b)
             got = state.gain(student, dest)

@@ -49,9 +49,9 @@ def test_tracer_and_pass_counter_hook_a_fern_solve(tmp_path, capsys,
     original = SolverState.gain_matrix
 
     def spy(self, locked=None):
-        live = self.inst.n if locked is None else int((~locked).sum())
+        live = self.n if locked is None else int((~locked).sum())
         live_rows.append(live)
-        cells.append(live * self.n_slots)
+        cells.append(live * self.sizes.shape[1])
         return original(self, locked)
 
     monkeypatch.setattr(SolverState, "gain_matrix", spy)

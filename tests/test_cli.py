@@ -3,17 +3,21 @@
 import contextlib
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairteams import cli, core, harness
+from fairteams.baselines import GAParams, genetic_algorithm
 from fairteams.cli import main
 
 QUAD_ROSTER = """student_id,group,skill_1
@@ -182,6 +186,32 @@ class TestSolve:
         assert "must be" in captured.err and "finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_overflowing_requirement_is_rejected(self, tmp_path, capsys):
+        # k*N*r^2 is not finite: the objective would read inf
+        roster = self._roster(tmp_path, n=10)
+        out = tmp_path / "teams.csv"
+        capsys.readouterr()
+        assert main(["solve", "--roster", roster, "--method", "random",
+                     "--team-count", "5", "--requirements", "1e200",
+                     "--assignment-out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: requirement 1e+200 is too large: k*N*r^2 overflows "
+            "for k=2, N=10"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_unmeetable_finite_requirement_is_solved(self, tmp_path,
+                                                     capsys):
+        # r > N cannot be met, but k*N*r^2 is finite: the objective is the
+        # one recorded before overflowing requirements were rejected
+        roster = self._roster(tmp_path, n=10)
+        capsys.readouterr()
+        assert main(["solve", "--roster", roster, "--requirements", "150",
+                     "--assignment-out", str(tmp_path / "t.csv")]) == 0
+        _, rows = _parse_csv(capsys.readouterr().out)
+        assert rows[0]["objective"] == "20280.88934686611"
 
 
 class TestEvaluate:
@@ -500,6 +530,36 @@ class TestExperiment:
         _, rows = _parse_csv((tmp_path / "metrics.csv").read_text())
         assert {r["method"] for r in rows} == {"gmbf"}
 
+    def test_overflowing_requirement_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        assert main(["experiment", "--preset", "d1", "--n", "20",
+                     "--seeds", "0..1", "--methods", "fern,random",
+                     "--requirements", "1e200", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: requirement 1e+200 is too large: k*N*r^2 overflows "
+            "for k=2, N=20"]
+        assert not out.exists()
+
+    def test_roster_is_read_once(self, tmp_path, capsys, monkeypatch):
+        roster = str(tmp_path / "cohort.csv")
+        assert main(["generate", "--preset", "d2", "--n", "12",
+                     "--out", roster]) == 0
+        calls = []
+        original = cli.load_instance
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "load_instance", counted)
+        assert main(["experiment", "--roster", roster, "--methods",
+                     "fern,gmbf,random", "--seeds", "0,1", "--reps", "2",
+                     "--out", str(tmp_path / "m.csv")]) == 0
+        capsys.readouterr()
+        assert calls == [roster]
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         roster = _write(tmp_path, "quad.csv", QUAD_ROSTER)
         assert main(["experiment", "--preset", "d1", "--roster", roster,
@@ -643,3 +703,57 @@ def test_mutated_input_files_fail_with_one_error_line(which, data):
         assert code in (1, 2)
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: " if code == 1 else "io error: ")
+
+
+# Each of requirements, gamma and delta takes one of these extremes in the
+# solve fuzz test below.
+_EXTREMES = st.sampled_from(["0", "1e-300", "1e154", "1e300"])
+
+
+@st.composite
+def _small_rosters(draw):
+    """Roster CSV text: 2..12 students, 1..3 skills, 1..3 groups."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(3, n)))
+    groups = list(range(m)) + draw(st.lists(
+        st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    level = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    lines = ["student_id,group," + ",".join(f"skill_{p + 1}"
+                                            for p in range(k))]
+    lines += [f"s{i},g{q}," + ",".join(repr(draw(level)) for _ in range(k))
+              for i, q in enumerate(groups)]
+    return "\n".join(lines) + "\n"
+
+
+def _small_ga(*args, **kwargs):
+    return genetic_algorithm(*args, **dict(
+        kwargs, params=GAParams(population_size=4, generations=2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(roster=_small_rosters(), method=st.sampled_from(harness.METHODS),
+       requirements=_EXTREMES, gamma=_EXTREMES, delta=_EXTREMES)
+def test_solve_with_extreme_knobs_is_finite_or_one_error_line(
+        roster, method, requirements, gamma, delta):
+    # exit 0 with only finite numbers in the metrics row, or exit 1 with
+    # one error line; a numpy overflow or invalid-value warning fails too
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            harness, "genetic_algorithm", _small_ga), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        path = os.path.join(tmp, "roster.csv")
+        Path(path).write_text(roster)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--method", method, "--roster", path,
+                         "--requirements", requirements, "--gamma", gamma,
+                         "--delta", delta, "--assignment-out",
+                         os.path.join(tmp, "teams.csv")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        header, rows = _parse_csv(out.getvalue())
+        assert all(math.isfinite(float(rows[0][key])) for key in header[3:])
+    else:
+        assert code == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("error: ")

@@ -14,7 +14,8 @@ from fairteams.core import (Assignment, TaskSpec, compact_assignment,
                             compute_benefit_matrix, make_instance, objective)
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
-from fairteams.initial import gmbf
+from fairteams.initial import gmbf, random_init
+from fairteams import refine
 from fairteams.refine import (RefineConfig, SolverState, fmhc, postprocess,
                               sahc)
 from helpers import make_random_instance, make_random_spec, random_partition
@@ -32,7 +33,7 @@ def _random_state(rng, n_max=16):
     b = compute_benefit_matrix(inst, spec.benefit_epsilon)
     n_teams = int(rng.integers(2, max(3, inst.n // 2)))
     assignment = random_partition(rng, inst.n, n_teams)
-    state = SolverState.from_assignment(inst, spec, b, assignment)
+    state = SolverState.from_assignment([inst], spec, [b], [assignment])
     return inst, spec, b, assignment, state
 
 
@@ -41,10 +42,10 @@ class TestGainCorrectness:
         rng = np.random.default_rng(20)
         for _ in range(12):
             inst, spec, b, assignment, state = _random_state(rng)
-            gains = state.gain_matrix()
+            gains = state.gain_matrix()[0]
             f0 = _oracle_f(inst, spec, assignment.team_of)
             for i in range(inst.n):
-                for dest in range(state.n_slots):
+                for dest in range(state.n_slots[0]):
                     if not np.isfinite(gains[i, dest]):
                         continue
                     moved = assignment.team_of.copy()
@@ -55,9 +56,9 @@ class TestGainCorrectness:
     def test_scalar_gain_matches_matrix(self):
         rng = np.random.default_rng(21)
         inst, spec, b, assignment, state = _random_state(rng)
-        gains = state.gain_matrix()
+        gains = state.gain_matrix()[0]
         for i in range(inst.n):
-            for dest in range(state.n_slots):
+            for dest in range(state.n_slots[0]):
                 if np.isfinite(gains[i, dest]):
                     assert state.gain(i, dest) == gains[i, dest]
 
@@ -65,12 +66,13 @@ class TestGainCorrectness:
         rng = np.random.default_rng(22)
         for _ in range(8):
             inst, spec, b, assignment, state = _random_state(rng)
-            sizes = np.bincount(assignment.team_of, minlength=state.n_slots)
+            sizes = np.bincount(assignment.team_of,
+                                minlength=state.n_slots[0])
             for i in range(inst.n):
                 src = assignment.team_of[i]
                 if sizes[src] < 2:
                     continue  # reverse move would target an emptied slot
-                for dest in range(state.n_slots):
+                for dest in range(state.n_slots[0]):
                     if dest == src or sizes[dest] == 0:
                         continue
                     forward = state.gain(i, dest)
@@ -87,15 +89,15 @@ class TestGainCorrectness:
         spec = TaskSpec(requirements=[1.0], gamma=1.0, delta=1.0)
         b = compute_benefit_matrix(inst, 0.0)
         assignment = Assignment(np.array([0, 0, 1]))
-        state = SolverState.from_assignment(inst, spec, b, assignment)
+        state = SolverState.from_assignment([inst], spec, [b], [assignment])
         gain = state.gain(2, 0)
         merged = np.array([0, 0, 0])
         expected = _oracle_f(inst, spec, assignment.team_of) \
             - _oracle_f(inst, spec, merged)
         assert gain == pytest.approx(expected, abs=1e-12)
         state.apply(2, 0)
-        assert state.n_active == 1
-        assert state.assignment().team_of.tolist() == [0, 0, 0]
+        assert state.n_active[0] == 1
+        assert state.assignments()[0].team_of.tolist() == [0, 0, 0]
 
     def test_moves_into_emptied_slots_are_blocked(self):
         inst = make_instance(np.array([[0.4], [0.3], [0.2], [0.1]]),
@@ -103,10 +105,10 @@ class TestGainCorrectness:
         spec = TaskSpec(requirements=[0.5])
         b = compute_benefit_matrix(inst, 0.0)
         state = SolverState.from_assignment(
-            inst, spec, b, Assignment(np.array([0, 0, 1, 1])))
+            [inst], spec, [b], [Assignment(np.array([0, 0, 1, 1]))])
         state.apply(2, 0)
         state.apply(3, 0)  # slot 1 now empty
-        gains = state.gain_matrix()
+        gains = state.gain_matrix()[0]
         assert not np.isfinite(gains[:, 1]).any()
         with pytest.raises(ValidationError):
             state.gain(0, 1)
@@ -118,10 +120,11 @@ class TestGainCorrectness:
         for _ in range(12):
             inst, spec, b, assignment, state = _random_state(rng)
             for share in (0.0, 0.5, 0.9, 1.0):
-                full = state.gain_matrix()
+                full = state.gain_matrix()[0]
                 locked = rng.random(inst.n) < share
-                got = state.gain_matrix(locked)
-                assert got.shape == (inst.n - locked.sum(), state.n_slots)
+                got = state.gain_matrix(locked[None])
+                assert got.shape[1:] == (inst.n - locked.sum(),
+                                         state.n_slots[0])
                 assert got.tobytes() == full[~locked].tobytes()
                 finite = np.argwhere(np.isfinite(full))
                 if len(finite):
@@ -141,36 +144,36 @@ class TestSolverState:
         for _ in range(10):
             inst, spec, b, assignment, state = _random_state(rng)
             for _ in range(6):
-                gains = state.gain_matrix()
+                gains = state.gain_matrix()[0]
                 finite = np.argwhere(np.isfinite(gains))
                 if len(finite) == 0:
                     break
                 i, dest = finite[rng.integers(len(finite))]
                 state.apply(int(i), int(dest))
             fresh = SolverState.from_assignment(
-                inst, spec, b, state.assignment())
+                [inst], spec, [b], state.assignments())
             got, want = state.objective(), fresh.objective()
-            assert got.f == pytest.approx(want.f, abs=1e-12)
-            assert got.x == pytest.approx(want.x, abs=1e-12)
+            assert got.f[0] == pytest.approx(want.f[0], abs=1e-12)
+            assert got.x[0] == pytest.approx(want.x[0], abs=1e-12)
 
     def test_objective_matches_core(self):
         rng = np.random.default_rng(26)
         inst, spec, b, assignment, state = _random_state(rng)
         want = objective(inst, spec, assignment, b)
         got = state.objective()
-        assert (got.x, got.y, got.z, got.f) == pytest.approx(
+        assert (got.x[0], got.y[0], got.z[0], got.f[0]) == pytest.approx(
             (want.x, want.y, want.z, want.f), abs=1e-12)
 
     def test_clone_is_independent(self):
         rng = np.random.default_rng(27)
         inst, spec, b, assignment, state = _random_state(rng)
-        before = state.objective().f
+        before = state.objective().f[0]
         clone = state.clone()
-        gains = clone.gain_matrix()
+        gains = clone.gain_matrix()[0]
         i, dest = np.argwhere(np.isfinite(gains))[0]
         clone.apply(int(i), int(dest))
-        assert state.objective().f == pytest.approx(before, abs=0.0)
-        assert np.array_equal(state.team_of, assignment.team_of)
+        assert state.objective().f[0] == pytest.approx(before, abs=0.0)
+        assert np.array_equal(state.team_of[0], assignment.team_of)
 
 
 CELL_CACHES = ("_group_delta", "_def_dest_new")
@@ -184,9 +187,9 @@ EXACT_CACHES = ("_group_delta", "_src_delta", "sizes", "active",
 def _full_gains(state, locked):
     """gain_matrix(locked) spread over all N rows, -inf on locked ones."""
     if locked is None:
-        return state.gain_matrix()
-    full = np.full((state.inst.n, state.n_slots), -np.inf)
-    full[~locked] = state.gain_matrix(locked)
+        return state.gain_matrix()[0]
+    full = np.full((state.n, state.n_slots[0]), -np.inf)
+    full[~locked] = state.gain_matrix(locked[None]).reshape(-1, full.shape[1])
     return full
 
 
@@ -194,14 +197,15 @@ def _check_against_fresh(state, locked):
     """Every cache, and the gains, equal a state rebuilt from team_of.
     Returns the (N, slots) gains, -inf on locked rows."""
     gains = _full_gains(state, locked)  # a read runs the pending refresh
-    fresh = SolverState(state.inst, state.spec, state.b, state.team_of,
+    fresh = SolverState(state.instances, state.spec, state.b, state.team_of,
                         state.n_slots)
     for name in CELL_CACHES + ROW_CACHES + TEAM_CACHES:
         np.testing.assert_allclose(getattr(state, name), getattr(fresh, name),
                                    rtol=0, atol=1e-12, err_msg=name)
-    assert state.n_active == fresh.n_active
-    assert state.members == [np.flatnonzero(state.team_of == slot).tolist()
-                             for slot in range(state.n_slots)]
+    assert np.array_equal(state.n_active, fresh.n_active)
+    assert state.members[0] == [
+        np.flatnonzero(state.team_of[0] == slot).tolist()
+        for slot in range(state.n_slots[0])]
     want = _full_gains(fresh, locked)
     assert np.array_equal(np.isfinite(gains), np.isfinite(want))
     finite = np.isfinite(want)
@@ -218,7 +222,8 @@ def _fresh_state(skills, groups, team_of, reqs, epsilon):
     spec = TaskSpec(requirements=reqs, gamma=1.0, delta=3.0,
                     benefit_epsilon=epsilon)
     b = compute_benefit_matrix(inst, epsilon)
-    return SolverState.from_assignment(inst, spec, b, Assignment(team_of))
+    return SolverState.from_assignment([inst], spec, [b],
+                                       [Assignment(team_of)])
 
 
 @st.composite
@@ -255,7 +260,7 @@ class TestCacheConsistency:
     def test_random_move_sequences(self, case):
         *shape, picks = case
         state = _fresh_state(*shape)
-        locked = np.zeros(state.inst.n, dtype=bool)
+        locked = np.zeros(state.n, dtype=bool)
         _check_against_fresh(state, None)
         for pick, lock in picks:
             gains = _check_against_fresh(state, locked)
@@ -278,9 +283,9 @@ class TestCacheConsistency:
         *shape, _ = case
         state, eager = _fresh_state(*shape), _fresh_state(*shape)
         for pick, dest_pick in moves:
-            student = pick % state.inst.n
-            dests = np.flatnonzero(state.active)
-            dests = dests[dests != state.team_of[student]]
+            student = pick % state.n
+            dests = np.flatnonzero(state.active[0])
+            dests = dests[dests != state.team_of[0, student]]
             if dests.size == 0:
                 break
             dest = int(dests[dest_pick % dests.size])
@@ -288,16 +293,15 @@ class TestCacheConsistency:
             eager.apply(student, dest)
             eager.gain_matrix()
         gains = _check_against_fresh(state, None)
-        assert gains.tobytes() == eager.gain_matrix().tobytes()
-        for name in CELL_CACHES + ROW_CACHES + TEAM_CACHES:
+        assert gains.tobytes() == eager.gain_matrix()[0].tobytes()
+        for name in CELL_CACHES + ROW_CACHES + TEAM_CACHES + (
+                "defic_total", "ind_total"):
             assert getattr(state, name).tobytes() == \
                 getattr(eager, name).tobytes(), name
-        assert (state.defic_total, state.ind_total) == \
-            (eager.defic_total, eager.ind_total)
         # these depend only on integer counts, so they match a fresh build
         # bit for bit; float sums carry the order of their updates
-        fresh = SolverState(state.inst, state.spec, state.b, state.team_of,
-                            state.n_slots)
+        fresh = SolverState(state.instances, state.spec, state.b,
+                            state.team_of, state.n_slots)
         for name in EXACT_CACHES:
             assert getattr(state, name).tobytes() == \
                 getattr(fresh, name).tobytes(), name
@@ -321,13 +325,13 @@ class TestCacheConsistency:
                                                    team_of, reqs, epsilon):
         # move members of the highest slot into the lowest until one is left
         state = _fresh_state(skills, groups, team_of, reqs, epsilon)
-        while state.n_active > 1:
+        while state.n_active[0] > 1:
             _check_against_fresh(state, None)
-            slots = np.flatnonzero(state.active)
-            student = np.flatnonzero(state.team_of == slots[-1])[0]
+            slots = np.flatnonzero(state.active[0])
+            student = np.flatnonzero(state.team_of[0] == slots[-1])[0]
             state.apply(int(student), int(slots[0]))
         gains = _check_against_fresh(state, None)
-        assert state.n_active == 1 and not np.isfinite(gains).any()
+        assert state.n_active[0] == 1 and not np.isfinite(gains).any()
 
 
 # Frozen search result: this start state has exactly one strictly improving
@@ -349,9 +353,9 @@ class TestSahc:
         inst = make_instance(UNIQUE_SKILLS, UNIQUE_GROUPS)
         spec = TaskSpec(requirements=[1.33], gamma=1.0, delta=1.0)
         b = compute_benefit_matrix(inst, 0.0)
-        state = SolverState.from_assignment(inst, spec, b,
-                                            Assignment(UNIQUE_START))
-        gains = state.gain_matrix()
+        state = SolverState.from_assignment([inst], spec, [b],
+                                            [Assignment(UNIQUE_START)])
+        gains = state.gain_matrix()[0]
         positive = np.argwhere(gains > 1e-12)
         assert positive.tolist() == [[0, 0]]
         stats = {}
@@ -478,7 +482,7 @@ class TestFmhc:
         spec = TaskSpec(requirements=[2.0, 2.0])
         b = compute_benefit_matrix(inst, 0.0)
         start = gmbf(inst, spec, b)
-        state = SolverState.from_assignment(inst, spec, b, start)
+        state = SolverState.from_assignment([inst], spec, [b], [start])
         state_bytes = sum(value.nbytes for value in vars(state).values()
                           if isinstance(value, np.ndarray))
         del state
@@ -496,6 +500,103 @@ class TestFmhc:
         stats = {}
         fmhc(inst, spec, b, assignment, stats=stats)
         assert stats["passes"] >= 1
+
+
+class TestLockstep:
+    """fmhc over several rosters climbs them in lockstep rounds; each roster
+    gets the bits of its own solve."""
+
+    # requirements one student can meet, with gamma = 0, leave singletons
+    # for the merges
+    @pytest.mark.parametrize("spec, merged", [
+        (TaskSpec(requirements=[0.45, 0.35], gamma=0.0, delta=0.01), True),
+        (TaskSpec(requirements=[2.7, 1.9]), False)])
+    # one block of all five rosters, and blocks of one
+    @pytest.mark.parametrize("budget", [refine._BATCH_BYTES, 1])
+    def test_batch_equals_each_single_solve(self, monkeypatch, spec, merged,
+                                            budget):
+        # continuous skills, so that every sum's order shows in its bits;
+        # gmbf starts and random ones, with different slot counts
+        rosters = []
+        for seed, teams in enumerate((None, None, 9, 33, 5)):
+            inst = make_random_instance(np.random.default_rng(seed), n=40,
+                                        k=2, m=2)
+            b = compute_benefit_matrix(inst, 0.0)
+            rosters.append((inst, b, gmbf(inst, spec, b) if teams is None
+                            else random_init(inst.n, teams, rng=seed)))
+        assert len({start.n_teams for _, _, start in rosters}) >= 4
+        merges, original = [], refine._merge_singletons
+
+        def spy(state, merging):
+            changed = original(state, merging)
+            merges[-1] |= bool(changed.any())
+            return changed
+
+        monkeypatch.setattr(refine, "_merge_singletons", spy)
+        singles, passes = [], []
+        for inst, b, start in rosters:
+            stats = {}
+            merges.append(False)
+            singles.append(fmhc(inst, spec, b, start, stats=stats))
+            passes.append(stats["passes"])
+        # some solve's merges moved a student, and the solves stop climbing
+        # in different rounds
+        assert any(merges) == merged and len(set(passes)) > 1
+        stats = {}
+        monkeypatch.setattr(refine, "_BATCH_BYTES", budget)
+        batch = fmhc([inst for inst, _, _ in rosters], spec,
+                     [b for _, b, _ in rosters],
+                     [start for _, _, start in rosters], stats=stats)
+        assert [a.team_of.tobytes() for a in batch] == \
+            [a.team_of.tobytes() for a in singles]
+        assert stats["passes"] == sum(passes)
+
+    def test_batched_state_keeps_each_rosters_bits(self):
+        # the same random moves on one state of six rosters and on six
+        # states of one roster each; every read gives the same bits
+        spec = TaskSpec(requirements=[2.7, 1.9], gamma=1.0, delta=3.0)
+        rng = np.random.default_rng(3)
+        rosters = [make_random_instance(rng, n=24, k=2, m=3)
+                   for _ in range(6)]
+        bs = [compute_benefit_matrix(inst, 0.0) for inst in rosters]
+        starts = [random_partition(rng, 24, teams)
+                  for teams in (4, 7, 10, 13, 17, 22)]
+        batch = SolverState.from_assignment(rosters, spec, bs, starts)
+        singles = [SolverState.from_assignment([inst], spec, [b], [start])
+                   for inst, b, start in zip(rosters, bs, starts)]
+        for step in range(24):
+            moves = []  # (roster, student, dest), at most one per roster
+            for r, single in enumerate(singles):
+                student = int(rng.integers(24))
+                dests = np.flatnonzero(single.active[0])
+                dests = dests[dests != single.team_of[0, student]]
+                if dests.size:
+                    moves.append((r, student, int(rng.choice(dests))))
+                    single.apply(*moves[-1][1:])
+            for r, student, dest in moves:
+                batch.apply(student, dest, r)
+            if step % 3 == 2:
+                continue  # two applies queue one refresh over their union
+            gains = batch.gain_matrix()
+            for r, single in enumerate(singles):
+                width = single.sizes.shape[1]
+                assert gains[r, :, :width].tobytes() == \
+                    single.gain_matrix()[0].tobytes()
+                assert not np.isfinite(gains[r, :, width:]).any()
+                for name in ("defic_total", "ind_total", "group_sums"):
+                    assert getattr(batch, name)[r].tobytes() == \
+                        getattr(single, name)[0].tobytes(), name
+        assert [a.team_of.tolist() for a in batch.assignments()] == \
+            [single.assignments()[0].team_of.tolist() for single in singles]
+
+    def test_rosters_of_different_sizes_are_rejected(self):
+        spec = TaskSpec(requirements=[2.0, 2.0])
+        insts = [generate_dataset(preset_config("d2", n), seed=0)
+                 for n in (20, 30)]
+        bs = [compute_benefit_matrix(inst, 0.0) for inst in insts]
+        with pytest.raises(ValidationError):
+            fmhc(insts, spec, bs, [gmbf(i, spec, b)
+                                   for i, b in zip(insts, bs)])
 
 
 class TestPostprocess:
