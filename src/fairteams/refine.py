@@ -301,16 +301,16 @@ class SolverState:
         (r, n), (m, s) = self.team_of.shape, self._group_delta.shape[::2]
         free = np.ones((r, n), dtype=bool) if locked is None else ~locked
         counts = free.sum(axis=1).tolist()
-        rosters = [at for at, count in enumerate(counts) if count]
-        shape = (len(rosters), max(counts))  # g's reshape checks the L's
-        live = free.ravel().nonzero()[0]
-        part = slice(None) if shape[0] == r else rosters  # views if all
+        part = [at for at, count in enumerate(counts) if count]
+        # (R', L) flat rows; the reshape fails unless each has the same L
+        live = free.ravel().nonzero()[0].reshape(len(part), max(counts))
+        part = slice(None) if len(part) == r else part  # views if all
         src = self.team_of.take(live)
-        src_at = live // n * s + src
-        empties = (self.sizes.take(src_at) == 1).reshape(shape)
+        src_at = src + (live // n) * s
+        empties = self.sizes.take(src_at) == 1
 
         # the new benefit sum, each group's new mean benefit, and z
-        g = self._group_delta.take(live, 1).reshape(m, *shape, s)
+        g = self._group_delta.take(live, 1)
         y_new = _pairwise_sum(list(g)) + self.ind_total[part, None, None]
         g += self.group_sums[part].T[:, :, None, None]
         g /= self.group_counts[part].T[:, :, None, None]
@@ -320,10 +320,11 @@ class SolverState:
         z_new /= m
         y_new /= n
 
-        x_new = np.subtract((self.defic_total[part, None] - self.defic.take(
-            src_at).reshape(shape))[:, :, None], self.defic[part, None])
-        x_new += self._def_src_new.take(live).reshape(*shape, 1)
-        x_new += self._def_dest_new.take(live, 0).reshape(*shape, s)
+        x_new = np.subtract((self.defic_total[part, None]
+                             - self.defic.take(src_at))[:, :, None],
+                            self.defic[part, None])
+        x_new += self._def_src_new.take(live)[:, :, None]
+        x_new += self._def_dest_new.take(live, 0)
         x_new /= ((self.n_active[part, None] - empties)
                   * float(self.k))[:, :, None]
 
@@ -337,7 +338,7 @@ class SolverState:
         active = self.active[part]
         if not active.all():
             gains.transpose(0, 2, 1)[~active] = -np.inf
-        gains.reshape(-1, s)[np.arange(live.size), src] = -np.inf
+        gains.reshape(-1, s)[np.arange(live.size), src.ravel()] = -np.inf
         return gains
 
     def gain(self, student: int, dest: int, roster: int = 0) -> float:
