@@ -251,9 +251,9 @@ def run_experiment(config: ExperimentConfig,
     fmhc call refines every roster's gmbf start. A failed run is recorded
     with its identity and the batch continues.
     """
-    seeds = []  # (seed, instance, b, b_ms, solved); one roster for --roster
-    for i, seed in enumerate(config.seeds):
-        if i == 0 or config.roster is None:
+    rosters, cells = [], []  # (instance, b, b_ms, solved); (seed, roster)
+    for seed in config.seeds:
+        if config.roster is None or not rosters:
             instance = (
                 generate_dataset(preset_config(
                     config.preset, config.n_students,
@@ -264,18 +264,17 @@ def run_experiment(config: ExperimentConfig,
             spec = config.spec or default_spec(instance.k)
             b, b_ms = _timed(compute_benefit_matrix, instance,
                              spec.benefit_epsilon)
-            solved: dict = {}  # this roster's gmbf and fern solves
-        seeds.append((seed, instance, b, b_ms, solved))
+            rosters.append((instance, b, b_ms, {}))
+        cells.append((seed, rosters[-1]))
     if "fern" in config.methods or (
             "ga" in config.methods and config.team_count is None):
         # on a failure, each roster's fern cell solves it alone
         with contextlib.suppress(*_FAILURES):
-            _refine_starts(list({id(s[-1]): (s[1], s[2], s[-1])
-                                 for s in seeds}.values()),
+            _refine_starts([(i, b, solved) for i, b, _, solved in rosters],
                            spec, config.refine_config)
     records: list[MetricsRecord] = []
     failures: list[RunFailure] = []
-    for seed, instance, b, b_ms, solved in seeds:
+    for seed, (instance, b, b_ms, solved) in cells:
         for method in config.methods:
             try:
                 records.append(_run_cell(config, spec, instance, b, b_ms,

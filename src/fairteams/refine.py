@@ -6,10 +6,12 @@ Two refiners over the single-student move neighborhood:
 * fmhc: pass-based refinement. A pass tentatively moves every student once
   (best gain first, uphill allowed, movers locked), then commits the prefix
   of the move sequence with the largest summed gain if that sum clears the
-  gain threshold; otherwise the pass is discarded and refinement stops.
+  gain threshold and the objective recomputed from the assignment falls;
+  otherwise the pass is discarded and refinement stops.
 
-Both take the row-major first maximum of the gain matrix, so ties go to the
-lower student, then the lower destination.
+Both, and the singleton merges, pick moves with one function, _best_moves:
+the row-major first maximum of the gain matrix, so ties go to the lower
+student, then the lower destination.
 
 SolverState holds R rosters of one size, their team slots padded to the
 most of any (padded slots stay inactive); a single solve is the batch of
@@ -26,9 +28,9 @@ A move updates the team sums and counts and queues a refresh of the two
 columns and two teams' rows it touches; the next gain_matrix or clone runs
 the queue once over their union, and gain_matrix adds the global sums. Each
 cell takes the same floating-point operations in the same order as a full
-recompute: gains are bit-identical.
-gain_matrix is the only copy of this formula: gain(x, d) is one of its cells,
-and a singleton merge takes the first maximum of x's row.
+recompute: gains are bit-identical. The build fills every roster's caches
+with one batched pass. gain_matrix is the only copy of this formula: gain(x,
+d) is one of its cells.
 
 A move that empties its source team drops that team from the objective's
 normalizer and from the destination set; no move may create a new team.
@@ -39,13 +41,12 @@ moves, so the final assignment is single-move stable and singleton-free.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
-                   compact_assignment)
+                   compact_assignment, objective_batch)
 from .errors import ValidationError
 
 
@@ -113,13 +114,14 @@ class SolverState:
 
     The rosters share N, m, k and the spec; slots are fixed at construction
     and padded to the most of any roster, and a slot that empties goes
-    inactive for good. team_of is (R, N); sizes, active and defic (R,
-    slots). The other arrays, group- or skill-major, put roster r's students
-    at r*N.. and its slots at r*slots.. of one flat axis. Cell (i, l) caches
-    what does not depend on the global sums: D_q, the change of group q's
-    benefit sum when student i moves to slot l (_group_delta, (m, R*N,
-    slots)), and slot l's deficiency with i added (_def_dest_new). Row i
-    caches what i's own team loses (_src_delta, (m, R*N); _def_src_new).
+    inactive for good. team_of, (R, N), is the only record of who is in
+    which team; sizes, active and defic are (R, slots). The other arrays,
+    group- or skill-major, put roster r's students at r*N.. and its slots
+    at r*slots.. of one flat axis. Cell (i, l) caches what does not depend
+    on the global sums: D_q, the change of group q's benefit sum when
+    student i moves to slot l (_group_delta, (m, R*N, slots)), and slot
+    l's deficiency with i added (_def_dest_new). Row i caches what i's own
+    team loses (_src_delta, (m, R*N); _def_src_new).
     """
 
     def __init__(self, instances, spec: TaskSpec, b, team_of, n_slots):
@@ -145,10 +147,6 @@ class SolverState:
         self.sizes = np.bincount(slot_at, minlength=r * s).reshape(r, s) * 1.0
         self.active = self.sizes > 0
         self.n_active = self.active.sum(axis=1)
-        self.members = [[[] for _ in range(s)] for _ in range(r)]  # ascending
-        for teams, row in zip(self.members, self.team_of.tolist()):
-            for student, slot in enumerate(row):
-                teams[slot].append(student)
         self.sums = np.zeros((k, r * s))
         np.add.at(self.sums.T, slot_at, self._skills.T)
         self.defic = np.where(self.active, _deficiency(
@@ -159,15 +157,12 @@ class SolverState:
 
         # benefit_vs_team[i, l]: teammates-of-l that student i benefits
         # from; benefit_to_team[q, i, l]: group-q members of l that benefit
-        # from i; one roster at a time, which keeps the temporaries small
-        self.benefit_vs_team = np.empty((r * n, s))
-        self.benefit_to_team = np.empty((m, r * n, s))
-        for at in range(r):
-            mine = slice(at * n, at * n + n)
-            membership = np.eye(s)[self.team_of[at]]
-            self.benefit_vs_team[mine] = self.b[at] @ membership
-            self.benefit_to_team[:, mine] = self.b[at].T @ (
-                membership * self._in_group[:, mine, None])
+        # from i; integer counts, so batching the rosters keeps their bits
+        membership = np.eye(s)[self.team_of]  # (R, N, slots)
+        self.benefit_vs_team = (self.b @ membership).reshape(r * n, s)
+        self.benefit_to_team = (self.b.transpose(0, 2, 1) @ (
+            membership * self._in_group.reshape(m, r, n, 1))).reshape(
+                m, r * n, s)
         rows, n_team = np.arange(r * n), self.sizes.take(slot_at)
         own = self.benefit_vs_team[rows, self.team_of.ravel()]
         # share of teammates each benefits from (own is 0 for a lone one)
@@ -188,12 +183,9 @@ class SolverState:
         self._def_dest_new = np.empty((r * n, s))
         # (rows, cols, their team, its size, own benefit) per unread apply,
         # on the flat axes, and the rosters they move (_stale); the build
-        # refreshes one roster at a time
-        for at in range(r):
-            mine = slice(at * n, at * n + n)
-            self._pending = [(rows[mine], np.arange(at * s, at * s + s),
-                              slot_at[mine], n_team[mine], own[mine])]
-            self._refresh()
+        # queues every row and column, so one refresh fills each cell once
+        self._pending = [(rows, np.arange(r * s), slot_at, n_team, own)]
+        self._refresh()
 
     @classmethod
     def from_assignment(cls, instances, spec: TaskSpec, b,
@@ -270,8 +262,6 @@ class SolverState:
                      "own_by_group", "_src_delta", "_def_src_new",
                      "_group_delta", "_def_dest_new"):
             setattr(other, name, getattr(self, name).copy())
-        other.members = [[list(team) for team in teams]
-                         for teams in self.members]
         return other
 
     def objective(self) -> ObjectiveBreakdown:
@@ -366,15 +356,13 @@ class SolverState:
             slice(roster * n, roster * n + n)
         g, pair = int(self.groups[roster * n + student]), np.array([src, dest])
         sums, skill = self.sums[:, mine], self._skills[:, roster * n + student]
-        sizes, members = self.sizes[roster], self.members[roster]
+        sizes, team = self.sizes[roster], self.team_of[roster]
         active, defic = self.active[roster], self.defic[roster]
 
         sums[:, src] -= skill
         sums[:, dest] += skill
         sizes[src] -= 1
         sizes[dest] += 1
-        members[src].remove(student)
-        bisect.insort(members[dest], student)
         if sizes[src] == 0:
             active[src] = False
             self.n_active[roster] -= 1
@@ -403,19 +391,19 @@ class SolverState:
         vs_team[:, dest] += b[:, student]
         to_team[g, :, src] -= b[student]
         to_team[g, :, dest] += b[student]
-        self.team_of[roster, student] = dest
+        team[student] = dest
 
         # both teams' members, src's first, each in ascending order
-        n_left = len(members[src])
-        rows = np.array(members[src] + members[dest], dtype=np.int64)
-        slots = self.team_of[roster].take(rows)
+        left = (team == src).nonzero()[0]
+        rows = np.concatenate((left, (team == dest).nonzero()[0]))
+        slots = team.take(rows)
         n_team = sizes.take(slots)
         own = vs_team[rows, slots]
         ind = own / np.maximum(n_team - 1, 1.0)
         delta = ind - self.ind[theirs].take(rows)
         self.ind[theirs][rows] = ind
-        self.ind_total[roster] += float(np.add.reduce(delta[:n_left]))
-        self.ind_total[roster] += float(np.add.reduce(delta[n_left:]))
+        self.ind_total[roster] += float(np.add.reduce(delta[:left.size]))
+        self.ind_total[roster] += float(np.add.reduce(delta[left.size:]))
         np.add.at(self.group_sums[roster], self.groups[theirs].take(rows),
                   delta)
         self._pending.append((rows + roster * n, pair + at, slots + at,
@@ -441,18 +429,17 @@ def _merge_singletons(state: SolverState, merging: np.ndarray) -> np.ndarray:
     slot); returns which rosters had a student move."""
     changed = np.zeros_like(merging)
     while True:
-        single = state.active & (state.sizes == 1)
+        single = state.sizes == 1
         single &= (merging & (state.n_active >= 2))[:, None]
         rosters = np.flatnonzero(single.any(axis=1))
         if rosters.size == 0:
             return changed
-        students = [state.members[r][slot][0] for r, slot in zip(
-            rosters.tolist(), single[rosters].argmax(axis=1).tolist())]
+        slots = single[rosters].argmax(axis=1)
+        students = (state.team_of[rosters] == slots[:, None]).argmax(axis=1)
         locked = np.ones(state.team_of.shape, dtype=bool)
         locked[rosters, students] = False
-        for roster, student, gains in zip(rosters.tolist(), students,
-                                          state.gain_matrix(locked)):
-            state.apply(student, int(np.argmax(gains[0])), roster)
+        for roster, student, dest, _ in _best_moves(state, locked):
+            state.apply(student, dest, roster)
         changed[rosters] = True
 
 
@@ -518,9 +505,19 @@ def _fmhc_pass(state: SolverState, climbing: np.ndarray,
             continue
         cumulative = np.cumsum([gain for (_, _, gain) in sequence])
         best = int(np.argmax(cumulative))  # first max = shortest prefix
-        if cumulative[best] > config.gain_epsilon:
+        if not cumulative[best] > config.gain_epsilon:
+            continue
+        # the objective recomputed from the assignment must fall too: gains
+        # carry rounding relative to gamma and delta, and a climb that it
+        # let revisit an assignment would never end
+        students, dests, _ = zip(*sequence[:best + 1])
+        labels = np.repeat(state.team_of[roster][None], 2, axis=0)
+        labels[1, list(students)] = dests
+        f = objective_batch(state.instances[roster], state.spec,
+                            state.b[roster], labels).f
+        if f[1] < f[0]:
             committed[roster] = True
-            for student, dest, _ in sequence[:best + 1]:
+            for student, dest in zip(students, dests):
                 state.apply(student, dest, roster)
     return committed
 

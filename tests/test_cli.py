@@ -705,8 +705,8 @@ def test_mutated_input_files_fail_with_one_error_line(which, data):
         assert lines[0].startswith("error: " if code == 1 else "io error: ")
 
 
-# Each of requirements, gamma and delta takes one of these extremes in the
-# solve fuzz test below.
+# Each of requirements, gamma, delta and the two epsilons takes one of these
+# extremes in the fuzz test below.
 _EXTREMES = st.sampled_from(["0", "1e-300", "1e154", "1e300"])
 
 
@@ -730,30 +730,43 @@ def _small_ga(*args, **kwargs):
         kwargs, params=GAParams(population_size=4, generations=2)))
 
 
+@pytest.mark.parametrize("command", ["solve", "experiment"])
 @settings(max_examples=200, deadline=None)
 @given(roster=_small_rosters(), method=st.sampled_from(harness.METHODS),
-       requirements=_EXTREMES, gamma=_EXTREMES, delta=_EXTREMES)
+       requirements=_EXTREMES, gamma=_EXTREMES, delta=_EXTREMES,
+       benefit_epsilon=_EXTREMES, gain_epsilon=_EXTREMES)
 def test_solve_with_extreme_knobs_is_finite_or_one_error_line(
-        roster, method, requirements, gamma, delta):
-    # exit 0 with only finite numbers in the metrics row, or exit 1 with
+        command, roster, method, requirements, gamma, delta, benefit_epsilon,
+        gain_epsilon):
+    # exit 0 with only finite numbers in every metrics row, or exit 1 with
     # one error line; a numpy overflow or invalid-value warning fails too
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             harness, "genetic_algorithm", _small_ga), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        path = os.path.join(tmp, "roster.csv")
+        path, metrics = (os.path.join(tmp, name)
+                         for name in ("roster.csv", "metrics.csv"))
         Path(path).write_text(roster)
+        argv = (["solve", "--method", method, "--assignment-out",
+                 os.path.join(tmp, "teams.csv")] if command == "solve"
+                else ["experiment", "--seeds", "0", "--reps", "2",
+                      "--methods", ",".join(harness.METHODS),
+                      "--out", metrics])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["solve", "--method", method, "--roster", path,
-                         "--requirements", requirements, "--gamma", gamma,
-                         "--delta", delta, "--assignment-out",
-                         os.path.join(tmp, "teams.csv")])
+            code = main(argv + [
+                "--roster", path, "--requirements", requirements,
+                "--gamma", gamma, "--delta", delta,
+                "--benefit-epsilon", benefit_epsilon,
+                "--gain-epsilon", gain_epsilon])
+        text = (out.getvalue() if command == "solve" or code
+                else Path(metrics).read_text())
     lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == []
-        header, rows = _parse_csv(out.getvalue())
-        assert all(math.isfinite(float(rows[0][key])) for key in header[3:])
+        header, rows = _parse_csv(text)
+        assert rows and all(math.isfinite(float(row[key]))
+                            for row in rows for key in header[3:])
     else:
         assert code == 1 and len(lines) == 1, lines
         assert lines[0].startswith("error: ")
