@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import GAParams, genetic_algorithm, uniform_kmeans
+from .baselines import genetic_algorithm, uniform_kmeans
 from .core import (Assignment, Instance, TaskSpec, compute_benefit_matrix,
                    objective_batch)
 from .datagen import generate_dataset, load_instance, preset_config
@@ -110,7 +110,6 @@ def evaluate_solution(instance: Instance, spec: TaskSpec,
 def solve_instance(instance: Instance, spec: TaskSpec, method: str,
                    seed=0, team_count: int | None = None,
                    refine_config: RefineConfig | None = None,
-                   ga_params: GAParams | None = None,
                    b: np.ndarray | None = None) -> Assignment:
     """Run one method end to end, including any prerequisite sizing run.
 
@@ -132,8 +131,7 @@ def solve_instance(instance: Instance, spec: TaskSpec, method: str,
         return random_init(instance.n, team_count, rng=seed)
     if method == "umeans":
         return uniform_kmeans(instance, team_count, rng=seed)
-    return genetic_algorithm(instance, spec, b, team_count,
-                             params=ga_params, rng=seed)
+    return genetic_algorithm(instance, spec, b, team_count, rng=seed)
 
 
 def _solve_once(solved, method, instance, spec, b, refine_config):
@@ -187,7 +185,6 @@ class ExperimentConfig:
     spec: TaskSpec | None = None
     team_count: int | None = None
     refine_config: RefineConfig | None = None
-    ga_params: GAParams | None = None
 
     def __post_init__(self):
         if not self.seeds:
@@ -323,8 +320,8 @@ def _run_cell(config: ExperimentConfig, spec: TaskSpec, instance: Instance,
         team_count, setup_ms = start.n_teams, setup_ms + sizing_ms
     assignments, solve_ms = zip(*(_timed(
         solve_instance, instance, spec, method,
-        seed=derive_rng(seed, salt, rep), team_count=team_count,
-        ga_params=config.ga_params, b=b) for rep in range(config.reps)))
+        seed=derive_rng(seed, salt, rep), team_count=team_count, b=b)
+        for rep in range(config.reps)))
     return _mean_record(evaluate_solutions(
         instance, spec, assignments, [setup_ms + ms for ms in solve_ms],
         dataset=config.label, method=method, seed=seed, b=b), seed)

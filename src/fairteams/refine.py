@@ -2,16 +2,18 @@
 
 Two refiners over the single-student move neighborhood:
 
-* sahc: apply the globally best move while its gain stays strictly positive.
+* sahc: propose the globally best move while its gain is strictly positive.
 * fmhc: pass-based refinement. A pass tentatively moves every student once
-  (best gain first, uphill allowed, movers locked), then commits the prefix
-  of the move sequence with the largest summed gain if that sum clears the
-  gain threshold and the objective recomputed from the assignment falls;
-  otherwise the pass is discarded and refinement stops.
+  (best gain first, uphill allowed, movers locked), then proposes the
+  prefix of the move sequence with the largest summed gain if that sum
+  clears the gain threshold.
 
-Both, and the singleton merges, pick moves with one function, _best_moves:
-the row-major first maximum of the gain matrix, so ties go to the lower
-student, then the lower destination.
+Both, and postprocess (which proposes nothing), run on one driver, _refine,
+the only place that commits: it applies a roster's moves only if the
+objective recomputed from the assignment falls, or else stops its climb and
+merges its singletons. Every move is picked by _best_moves: the row-major
+first maximum of the gain matrix, so ties go to the lower student, then
+the lower destination.
 
 SolverState holds R rosters of one size, their team slots padded to the
 most of any (padded slots stay inactive); a single solve is the batch of
@@ -443,51 +445,54 @@ def _merge_singletons(state: SolverState, merging: np.ndarray) -> np.ndarray:
         changed[rosters] = True
 
 
-def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
-                assignment: Assignment) -> Assignment:
-    """Merge each singleton team into its best team (a lone team stays)."""
-    state = SolverState.from_assignment([instance], spec, [b], [assignment])
-    _merge_singletons(state, np.ones(1, dtype=bool))
-    return state.assignments()[0]
-
-
 def _refine(instances, spec: TaskSpec, b, initial, step) -> list[Assignment]:
-    """Run step(state, climbing) in rounds; it returns which rosters made
-    progress. One that made none merges its singleton teams and climbs again
+    """Run step(state, climbing) in rounds. It proposes (roster, [(student,
+    dest), ...]) pairs, applied only if f recomputed from the assignment
+    falls: rounding in the gains must not let a climb revisit an assignment.
+    A roster that applied none merges its singleton teams and climbs again
     while a merge changes anything (merges only shrink team counts)."""
     state = SolverState.from_assignment(instances, spec, b, initial)
     climbing = np.ones(len(state.instances), dtype=bool)
     while climbing.any():
-        moved = step(state, climbing)
+        moved = np.zeros_like(climbing)
+        for roster, moves in step(state, climbing):
+            labels = np.repeat(state.team_of[roster][None], 2, axis=0)
+            students, dests = zip(*moves)
+            labels[1, list(students)] = dests
+            f = objective_batch(state.instances[roster], spec,
+                                state.b[roster], labels).f
+            if f[1] < f[0]:
+                moved[roster] = True
+                for student, dest in moves:
+                    state.apply(student, dest, roster)
         climbing = moved | _merge_singletons(state, climbing & ~moved)
     return state.assignments()
 
 
-def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
-         initial: Assignment, stats: dict | None = None) -> Assignment:
-    """Steepest-ascent hill climbing (on a minimized objective): apply the
-    best move while its gain is strictly positive."""
-    stats = {} if stats is None else stats
-    stats.setdefault("iterations", 0)
-    stats.setdefault("moves", 0)
+def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
+                assignment: Assignment) -> Assignment:
+    """Merge each singleton team into its best team (a lone team stays)."""
+    return _refine([instance], spec, [b], [assignment], lambda *_: [])[0]
 
-    def step(state: SolverState, climbing: np.ndarray) -> np.ndarray:
+
+def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
+         initial: Assignment) -> Assignment:
+    """Steepest-ascent hill climbing (on a minimized objective): propose the
+    best move while its gain is strictly positive."""
+
+    def step(state: SolverState, climbing: np.ndarray) -> list[tuple]:
         (_, student, dest, gain), = _best_moves(
             state, np.zeros(state.team_of.shape, dtype=bool))
-        stats["iterations"] += 1
-        if gain > 0.0:
-            state.apply(student, dest)
-            stats["moves"] += 1
-        return np.array([gain > 0.0])
+        return [(0, [(student, dest)])] if gain > 0.0 else []
 
     return _refine([instance], spec, [b], [initial], step)[0]
 
 
 def _fmhc_pass(state: SolverState, climbing: np.ndarray,
-               config: RefineConfig) -> np.ndarray:
+               config: RefineConfig) -> list[tuple]:
     """One pass of each climbing roster: tentatively move every student,
-    then commit the roster's best prefix if its gain clears gain_epsilon.
-    Returns which rosters committed; the others are left as they were."""
+    then propose the roster's best prefix if its gain clears gain_epsilon.
+    The state is left as it was."""
     work = state.clone()
     locked = np.repeat(~climbing[:, None], state.n, axis=1)
     sequences = [[] for _ in climbing]  # each roster's tentative moves
@@ -499,27 +504,16 @@ def _fmhc_pass(state: SolverState, climbing: np.ndarray,
             locked[roster, student] = True
             work.apply(student, dest, roster)
             sequences[roster].append((student, dest, gain))
-    committed = np.zeros_like(climbing)
+    proposals = []
     for roster, sequence in enumerate(sequences):
         if not sequence:
             continue
         cumulative = np.cumsum([gain for (_, _, gain) in sequence])
         best = int(np.argmax(cumulative))  # first max = shortest prefix
-        if not cumulative[best] > config.gain_epsilon:
-            continue
-        # the objective recomputed from the assignment must fall too: gains
-        # carry rounding relative to gamma and delta, and a climb that it
-        # let revisit an assignment would never end
-        students, dests, _ = zip(*sequence[:best + 1])
-        labels = np.repeat(state.team_of[roster][None], 2, axis=0)
-        labels[1, list(students)] = dests
-        f = objective_batch(state.instances[roster], state.spec,
-                            state.b[roster], labels).f
-        if f[1] < f[0]:
-            committed[roster] = True
-            for student, dest in zip(students, dests):
-                state.apply(student, dest, roster)
-    return committed
+        if cumulative[best] > config.gain_epsilon:
+            proposals.append((roster, [move[:2]
+                                       for move in sequence[:best + 1]]))
+    return proposals
 
 
 def fmhc(instance, spec: TaskSpec, b, initial,
@@ -533,7 +527,7 @@ def fmhc(instance, spec: TaskSpec, b, initial,
     stats = {} if stats is None else stats
     stats["passes"] = 0
 
-    def step(state: SolverState, climbing: np.ndarray) -> np.ndarray:
+    def step(state: SolverState, climbing: np.ndarray) -> list[tuple]:
         stats["passes"] += int(climbing.sum())
         return _fmhc_pass(state, climbing, config)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairteams import core, harness
-from fairteams.baselines import GAParams
+from fairteams.baselines import GAParams, genetic_algorithm
 from fairteams.core import Assignment, TaskSpec, make_instance, objective
 from fairteams.datagen import generate_dataset, preset_config, save_roster
 from fairteams.errors import ValidationError
@@ -289,7 +289,16 @@ def _csv_digest(result) -> str:
 
 
 _ALL_METHODS = ("fern", "gmbf", "random", "umeans", "ga")
-_SMALL_GA = GAParams(population_size=10, generations=5)
+
+
+@pytest.fixture
+def small_ga(monkeypatch):
+    """A 10-member, 5-generation GA in place of the default one."""
+    def small(*args, **kwargs):
+        return genetic_algorithm(*args, **dict(
+            kwargs, params=GAParams(population_size=10, generations=5)))
+
+    monkeypatch.setattr(harness, "genetic_algorithm", small)
 
 # sha256 of the metrics CSV with the runtime_ms column masked, recorded
 # while every sub-run still rebuilt the benefit matrix and reran its sizing
@@ -302,12 +311,12 @@ def _roster_config(tmp_path, seeds=(3, 4)):
     path = tmp_path / "class.csv"
     save_roster(generate_dataset(preset_config("d3", 20), seed=5), path)
     return ExperimentConfig(seeds=seeds, methods=_ALL_METHODS, preset=None,
-                            roster=str(path), reps=3, ga_params=_SMALL_GA)
+                            roster=str(path), reps=3)
 
 
 def _preset_config(**kw):
     defaults = dict(seeds=(0, 1), methods=_ALL_METHODS, preset="d2",
-                    n_students=24, reps=3, ga_params=_SMALL_GA)
+                    n_students=24, reps=3)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -325,6 +334,7 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+@pytest.mark.usefixtures("small_ga")
 class TestExperimentWork:
     def test_preset_grid_reproduces_golden_csv(self):
         assert _csv_digest(run_experiment(_preset_config())) \

@@ -1,8 +1,10 @@
 """Refinement tests: gain correctness, cache consistency, climber behavior."""
 
+import contextlib
 import hashlib
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,21 @@ def _random_state(rng, n_max=16):
     assignment = random_partition(rng, inst.n, n_teams)
     state = SolverState.from_assignment([inst], spec, [b], [assignment])
     return inst, spec, b, assignment, state
+
+
+@contextlib.contextmanager
+def _apply_limit(limit=1000):
+    """SolverState.apply raises after limit calls, so that a climb that
+    would never end fails instead of hanging."""
+    original, calls = SolverState.apply, itertools.count(1)
+
+    def guarded(self, *args):
+        if next(calls) > limit:
+            raise RuntimeError(f"more than {limit} moves applied")
+        return original(self, *args)
+
+    with mock.patch.object(SolverState, "apply", guarded):
+        yield
 
 
 class TestGainCorrectness:
@@ -247,8 +264,8 @@ def _fresh_state(skills, groups, team_of, reqs, epsilon):
 
 
 @st.composite
-def _move_sequences(draw):
-    n = draw(st.integers(2, 9))
+def _move_sequences(draw, n_max=9):
+    n = draw(st.integers(2, n_max))
     k = draw(st.integers(1, 3))
     m = draw(st.integers(1, min(3, n)))
     levels = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.7, 1.0])
@@ -378,9 +395,7 @@ class TestSahc:
         gains = state.gain_matrix()[0]
         positive = np.argwhere(gains > 1e-12)
         assert positive.tolist() == [[0, 0]]
-        stats = {}
-        result = sahc(inst, spec, b, Assignment(UNIQUE_START), stats=stats)
-        assert stats["moves"] == 1
+        result = sahc(inst, spec, b, Assignment(UNIQUE_START))
         expected = UNIQUE_START.copy()
         expected[0] = 0
         assert result.team_of.tolist() == \
@@ -418,17 +433,29 @@ class TestSahc:
         rng = np.random.default_rng(30)
         inst, spec, b, assignment, _ = _random_state(rng)
         once = sahc(inst, spec, b, assignment)
-        stats = {}
-        twice = sahc(inst, spec, b, once, stats=stats)
-        assert stats["moves"] == 0
+        twice = sahc(inst, spec, b, once)
         assert np.array_equal(once.team_of, twice.team_of)
 
-    def test_collects_stats(self):
-        rng = np.random.default_rng(32)
-        inst, spec, b, assignment, _ = _random_state(rng)
-        stats = {}
-        sahc(inst, spec, b, assignment, stats=stats)
-        assert stats["iterations"] >= 1
+    @pytest.mark.parametrize("skills, groups, start, reqs, gamma, expected", [
+        # requirements and gamma of 1e-300: the gains are rounding relative
+        # to delta; the driver refuses both proposals, the merges do the rest
+        ([[.25, .25, .25], [.5, .5, .25], [.25, .25, .5], [.25, .25, .5],
+          [.25, .5, .5], [1, 0, 0]], [0, 1, 0, 1, 0, 0], [0, 1, 2, 3, 4, 5],
+         [1e-300] * 3, 1e-300, [0, 0, 0, 1, 1, 1]),
+        # ordinary knobs: student 3 would go back and forth between two
+        # teams, each way a gain of 2.2e-16 while f does not change
+        ([[1], [.75], [.75], [0], [.5]], [1, 0, 0, 2, 0], [2, 2, 1, 0, 0],
+         [2.7915758], 2.0, [1, 1, 0, 0, 0]),
+    ], ids=["tiny-knobs", "ordinary-knobs"])
+    def test_rounding_in_the_gains_cannot_keep_a_climb_going(
+            self, skills, groups, start, reqs, gamma, expected):
+        # a cycle of moves that each read as a gain would never end
+        inst = make_instance(np.array(skills, dtype=float), np.array(groups))
+        spec = TaskSpec(requirements=reqs, gamma=gamma, delta=1.0)
+        b = compute_benefit_matrix(inst, 0.0)
+        with _apply_limit():
+            result = sahc(inst, spec, b, Assignment(np.array(start)))
+        assert result.team_of.tolist() == expected
 
 
 class TestFmhc:
@@ -450,9 +477,8 @@ class TestFmhc:
                 moved = start.team_of.copy()
                 moved[i] = dest
                 assert _oracle_f(inst, spec, moved) >= f0 - 1e-12
-        stats = {}
-        stuck = sahc(inst, spec, b, start, stats=stats)
-        assert stats["moves"] == 0
+        stuck = sahc(inst, spec, b, start)
+        assert np.array_equal(stuck.team_of, start.team_of)
         f_sahc = _oracle_f(inst, spec, stuck.team_of)
         escaped = fmhc(inst, spec, b, start)
         f_fmhc = _oracle_f(inst, spec, escaped.team_of)
@@ -489,14 +515,11 @@ class TestFmhc:
                              np.zeros(5, dtype=int))
         spec = TaskSpec(requirements=[0.0, 0.0], gamma=1e154, delta=0.0)
         b = compute_benefit_matrix(inst, 0.0)
-        state = SolverState.from_assignment([inst], spec, [b],
-                                            [Assignment(np.arange(5))])
-        f = [objective(inst, spec, state.assignments()[0], b).f]
-        while refine._fmhc_pass(state, np.ones(1, dtype=bool),
-                                RefineConfig())[0]:
-            f.append(objective(inst, spec, state.assignments()[0], b).f)
-            assert f[-1] < f[-2]
-        assert len(f) == 2
+        start = Assignment(np.arange(5))
+        with _apply_limit():
+            result = fmhc(inst, spec, b, start)
+        assert objective(inst, spec, result, b).f \
+            < objective(inst, spec, start, b).f
 
     def test_at_least_matches_sahc_from_greedy_starts(self):
         config = preset_config("d3", 60)
@@ -676,6 +699,27 @@ class TestPostprocess:
         b = compute_benefit_matrix(inst, 0.0)
         out = postprocess(inst, spec, b, Assignment(np.array([0, 0, 1, 1])))
         assert out.team_of.tolist() == [0, 0, 1, 1]
+
+
+_EXTREMES = st.sampled_from([0.0, 1e-300, 1e154, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_move_sequences(n_max=8), st.lists(_EXTREMES, min_size=3, max_size=3),
+       _EXTREMES, _EXTREMES, st.sampled_from(["sahc", "fmhc", "postprocess"]))
+def test_every_climb_ends_in_a_singleton_free_partition(
+        case, reqs, gamma, delta, method):
+    skills, groups, team_of, _, epsilon, _ = case
+    inst = make_instance(np.array(skills), groups)
+    spec = TaskSpec(requirements=reqs[:inst.k], gamma=gamma, delta=delta,
+                    benefit_epsilon=epsilon)
+    b = compute_benefit_matrix(inst, epsilon)
+    refiner = {"sahc": sahc, "fmhc": fmhc, "postprocess": postprocess}[method]
+    with _apply_limit(), np.errstate(all="ignore"):
+        result = refiner(inst, spec, b, Assignment(team_of))
+    assert result.n == inst.n  # Assignment checks dense, non-empty teams
+    sizes = np.bincount(result.team_of)
+    assert sizes.size == 1 or sizes.min() >= 2
 
 
 class TestRefineConfig:
