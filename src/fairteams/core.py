@@ -281,6 +281,13 @@ def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
     else is in the batch. b must be the 0/1 benefit matrix for (instance,
     spec.benefit_epsilon).
     """
+    try:
+        labels = np.asarray(labels)
+    except ValueError:  # ragged rows
+        labels = np.empty(0)
+    if labels.ndim != 2 or labels.shape[1] != instance.n or \
+            labels.dtype.kind not in "iu":
+        raise ValidationError("assignment size does not match the roster")
     team_of, n_teams = _compact_rows(labels)
     width, k = int(n_teams.max()), instance.k
     sums = _team_sums(instance.skills, team_of, width)

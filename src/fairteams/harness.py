@@ -77,8 +77,6 @@ def evaluate_solutions(instance: Instance, spec: TaskSpec, assignments,
     """Score assignments in one objective_batch call: record p equals
     evaluate_solution(assignments[p], runtime_ms=runtimes_ms[p]). b, when
     given, is the benefit matrix for (instance, spec.benefit_epsilon)."""
-    if any(a.n != instance.n for a in assignments):
-        raise ValidationError("assignment size does not match the roster")
     if b is None:
         b = compute_benefit_matrix(instance, spec.benefit_epsilon)
     batch = objective_batch(instance, spec, b,

@@ -111,8 +111,7 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 
 class SolverState:
-    """Mutable assignments of R rosters plus every cache the gain formula
-    needs.
+    """Mutable assignments of R rosters and every cache of the gain formula.
 
     The rosters share N, m, k and the spec; slots are fixed at construction
     and padded to the most of any roster, and a slot that empties goes
@@ -123,7 +122,8 @@ class SolverState:
     on the global sums: D_q, the change of group q's benefit sum when
     student i moves to slot l (_group_delta, (m, R*N, slots)), and slot
     l's deficiency with i added (_def_dest_new). Row i caches what i's own
-    team loses (_src_delta, (m, R*N); _def_src_new).
+    team loses (_src_delta, (m, R*N); _def_src_new). gain and apply share
+    one move check; apply queues the rows and cols the next read refreshes.
     """
 
     def __init__(self, instances, spec: TaskSpec, b, team_of, n_slots):
@@ -134,6 +134,8 @@ class SolverState:
             raise ValidationError("the rosters of one state must share their "
                                   "size, group count and skill count")
         r = len(self.instances)
+        if len(team_of) != r or any(np.shape(t) != (n,) for t in team_of):
+            raise ValidationError("assignment size does not match the roster")
         self.b = np.stack(b)
         self.team_of = np.array(team_of, dtype=np.int64).reshape(r, n)
         self.n_slots = np.array(n_slots, dtype=np.int64).reshape(r)
@@ -183,10 +185,9 @@ class SolverState:
                                               np.empty(r * n))
         self._group_delta = np.empty((m, r * n, s))
         self._def_dest_new = np.empty((r * n, s))
-        # (rows, cols, their team, its size, own benefit) per unread apply,
-        # on the flat axes, and the rosters they move (_stale); the build
-        # queues every row and column, so one refresh fills each cell once
-        self._pending = [(rows, np.arange(r * s), slot_at, n_team, own)]
+        # flat (rows, cols) of each unread apply, and the rosters they move
+        # (_stale); the build queues all, so one refresh fills each cell once
+        self._pending = [(rows, np.arange(r * s))]
         self._refresh()
 
     @classmethod
@@ -196,22 +197,22 @@ class SolverState:
                    [a.n_teams for a in assignments])
 
     def _refresh(self):
-        """Recompute the row terms and cells of the queued rows (src, n_src,
-        own_vs_src: their team, its size, how many in it they benefit from)
-        and of the queued cols: one move's as queued, several moves' union."""
+        """Recompute the row terms and cells of the queued rows and cols (one
+        move's, or several moves' union), with each row's src, n_src and
+        own_vs_src (its team, its size, its benefit in it) from the state."""
         pending, self._pending, self._stale = self._pending, [], set()
         if not pending:
             return
         (r, n), (m, s) = self.team_of.shape, self._group_delta.shape[::2]
-        rows, cols, src, n_src, own_vs_src = pending[0]
+        rows, cols = pending[0]
         if len(pending) > 1:
             rows, cols = (np.flatnonzero(np.bincount(np.concatenate(part),
                                                      minlength=size))
                           for part, size in zip(zip(*pending),
                                                 (r * n, r * s)))
-            src = rows // n * s + self.team_of.take(rows)
-            n_src = self.sizes.take(src)
-            own_vs_src = self.benefit_vs_team.take(rows * s + src % s)
+        src = rows // n * s + self.team_of.take(rows)
+        n_src = self.sizes.take(src)
+        own_vs_src = self.benefit_vs_team.take(rows * s + src % s)
         own, sizes, req = self.own_by_group, self.sizes, self.spec.requirements
         # per slot: max(size, 1) and each group's current mean share
         safe = np.maximum(sizes, 1.0)
@@ -333,13 +334,19 @@ class SolverState:
         gains.reshape(-1, s)[np.arange(live.size), src.ravel()] = -np.inf
         return gains
 
+    def _check_move(self, student: int, dest: int, roster: int) -> int:
+        """The move's source team; raises unless the move is a valid one."""
+        if not (0 <= roster < len(self.instances) and 0 <= student < self.n):
+            raise ValidationError(f"no student {student} in roster {roster}")
+        src = int(self.team_of[roster, student])
+        if dest == src or not (0 <= dest < self.n_slots[roster]
+                               and self.active[roster, dest]):
+            raise ValidationError(f"team {dest} is not another active team")
+        return src
+
     def gain(self, student: int, dest: int, roster: int = 0) -> float:
         """Single-move gain: gain_matrix with every other student locked."""
-        if dest == self.team_of[roster, student]:
-            raise ValidationError("self-moves have no gain")
-        if not (0 <= dest < self.n_slots[roster]) or \
-                not self.active[roster, dest]:
-            raise ValidationError(f"destination team {dest} does not exist")
+        self._check_move(student, dest, roster)
         locked = np.ones(self.team_of.shape, dtype=bool)
         locked[roster, student] = False
         return float(self.gain_matrix(locked)[0, 0, dest])
@@ -347,11 +354,7 @@ class SolverState:
     def apply(self, student: int, dest: int, roster: int = 0):
         """Move the roster's student, update the accumulators, and queue the
         refresh of two columns and two teams' rows for the next read."""
-        src = int(self.team_of[roster, student])
-        if dest == src:
-            raise ValidationError("self-moves are not applicable")
-        if not self.active[roster, dest]:
-            raise ValidationError(f"destination team {dest} does not exist")
+        src = self._check_move(student, dest, roster)
         n, s = self.n, self.sizes.shape[1]
         # this roster's students and slots on the flat axes, and its views
         at, mine, theirs = roster * s, slice(roster * s, roster * s + s), \
@@ -408,8 +411,7 @@ class SolverState:
         self.ind_total[roster] += float(np.add.reduce(delta[left.size:]))
         np.add.at(self.group_sums[roster], self.groups[theirs].take(rows),
                   delta)
-        self._pending.append((rows + roster * n, pair + at, slots + at,
-                              n_team, own))
+        self._pending.append((rows + roster * n, pair + at))
 
 
 def _best_moves(state: SolverState, locked: np.ndarray) -> list[tuple]:

@@ -289,6 +289,12 @@ class TestObjective:
             assert got.z == pytest.approx(z, abs=1e-12)
             assert got.f == pytest.approx(f, abs=1e-12)
 
+    def test_rejects_an_assignment_of_another_size(self):
+        # 11 labels for 12 students: a validation error, not a numpy one
+        inst = make_random_instance(np.random.default_rng(10), n=12)
+        with pytest.raises(ValidationError, match="assignment size"):
+            breakdown(inst, Assignment(np.arange(11) % 3))
+
 
 @st.composite
 def _labelings(draw):
@@ -463,6 +469,20 @@ class TestObjectiveBatch:
         assert peak < 3 * labels.nbytes
         assert np.array_equal(labels, before)  # int64 input is not copied
 
+    @pytest.mark.parametrize("labels", [
+        np.zeros((2, 11), dtype=np.int64),           # 11 labels for 12
+        np.zeros(12, dtype=np.int64),                # 1-d
+        np.zeros((2, 12)),                           # float
+        [np.zeros(12, np.int64), np.zeros(11, np.int64)],  # ragged
+    ], ids=["short", "1-d", "float", "ragged"])
+    def test_rejects_labels_that_are_not_an_integer_p_by_n_array(
+            self, labels):
+        inst = make_random_instance(np.random.default_rng(18), n=12)
+        b = compute_benefit_matrix(inst, 0.0)
+        with pytest.raises(ValidationError, match="assignment size"):
+            objective_batch(inst, TaskSpec(requirements=np.ones(inst.k)), b,
+                            labels)
+
 
 class TestObjectiveInvariants:
     def test_student_permutation_invariance(self):
@@ -560,11 +580,29 @@ class TestDomainTypes:
         with pytest.raises(ValidationError, match="finite"):
             TaskSpec(**kwargs)
 
+    @pytest.mark.parametrize("skills, groups, kwargs, match", [
+        ([0.5, 0.2], [0, 0], {}, "2-d"),
+        (np.empty((2, 0)), [0, 0], {}, "skill dimension"),
+        ([[0.5], [0.2]], [0, 0, 0], {}, "length-N"),
+        ([[0.5], [0.2]], [0, -1], {}, "non-negative"),
+        ([[0.5], [0.2]], [0, 1], {"group_labels": ["a"]}, "1 group labels"),
+        ([[0.5], [0.2]], [0, 1], {"group_labels": ["a", "a"]}, "unique"),
+        ([[0.5], [0.2]], [0, 0], {"student_ids": ["a"]}, "one entry"),
+    ], ids=["1-d skills", "no skills", "groups length", "negative group",
+            "few group labels", "duplicate group labels", "ids length"])
+    def test_instance_rejects_malformed_input(self, skills, groups, kwargs,
+                                              match):
+        with pytest.raises(ValidationError, match=match):
+            make_instance(skills, groups, **kwargs)
+
     def test_assignment_requires_dense_labels(self):
         with pytest.raises(ValidationError):
             Assignment([0, 2, 2])  # team 1 missing
         with pytest.raises(ValidationError):
             Assignment([-1, 0])
+        for team_of in ([[0, 1], [1, 0]], []):  # 2-d, empty
+            with pytest.raises(ValidationError, match="1-d vector"):
+                Assignment(team_of)
         a = Assignment([1, 0, 1])
         assert a.n_teams == 2
         assert a.team_of.tolist() == [1, 0, 1]

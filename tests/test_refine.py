@@ -155,6 +155,74 @@ class TestGainCorrectness:
             state.gain(0, assignment.team_of[0])
 
 
+class TestMoveCheck:
+    """gain and apply reject the same moves, and a rejected apply changes
+    nothing."""
+
+    @staticmethod
+    def _state():
+        # two n=12 rosters of four teams; roster 0's slot 2 is emptied
+        rng = np.random.default_rng(30)
+        insts = [make_random_instance(rng, n=12, k=2, m=2) for _ in range(2)]
+        spec = make_random_spec(rng, 2)
+        bs = [compute_benefit_matrix(i, spec.benefit_epsilon) for i in insts]
+        start = Assignment([0, 0, 0, 1, 1, 1, 2, 3, 3, 3, 0, 1])
+        state = SolverState.from_assignment(insts, spec, bs, [start] * 2)
+        state.apply(6, 0)
+        return state
+
+    @pytest.mark.parametrize("student, dest, roster", [
+        (0, -1, 0), (0, 4, 0), (0, 2, 0), (0, 0, 0),
+        (-1, 3, 0), (12, 3, 0), (-1, 3, 1), (0, 1, -1), (0, 1, 2),
+    ], ids=["dest -1", "dest n_slots", "emptied slot", "own team",
+            "student -1", "student N", "student -1 of roster 1",
+            "roster -1", "roster R"])
+    def test_gain_and_apply_reject_the_same_moves(self, student, dest,
+                                                  roster):
+        state = self._state()
+        names = ("team_of", "sizes", "active", "n_active", "sums", "defic",
+                 "defic_total", "ind", "ind_total", "group_sums")
+        before = [getattr(state, name).tobytes() for name in names]
+        with pytest.raises(ValidationError):
+            state.gain(student, dest, roster)
+        with pytest.raises(ValidationError):
+            state.apply(student, dest, roster)
+        assert [getattr(state, name).tobytes() for name in names] == before
+
+    def test_rejects_an_assignment_of_another_size(self):
+        inst = make_random_instance(np.random.default_rng(31), n=12)
+        spec = TaskSpec(requirements=np.ones(inst.k))
+        b = compute_benefit_matrix(inst, 0.0)
+        with pytest.raises(ValidationError, match="assignment size"):
+            SolverState([inst], spec, [b], [np.zeros(11, np.int64)], [1])
+        with pytest.raises(ValidationError, match="assignment size"):
+            SolverState([inst], spec, [b], [np.zeros(12, np.int64)] * 2, [1])
+
+
+@pytest.mark.parametrize("refiner", [fmhc, sahc, postprocess])
+def test_refiners_reject_an_assignment_of_another_size(refiner):
+    # 11 labels for 12 students: a validation error, not a numpy one
+    inst = make_random_instance(np.random.default_rng(32), n=12)
+    spec = TaskSpec(requirements=np.ones(inst.k))
+    b = compute_benefit_matrix(inst, 0.0)
+    with pytest.raises(ValidationError, match="assignment size"):
+        refiner(inst, spec, b, Assignment(np.arange(11) % 3))
+
+
+@pytest.mark.parametrize("as_floats", [False, True], ids=["arrays", "floats"])
+def test_pairwise_sum_matches_numpy_on_long_inputs(as_floats):
+    # 16 or more terms take the 8-accumulator loop, more than 128 the split
+    rng = np.random.default_rng(33)
+    values = rng.random((300, 5)) * 10.0 ** rng.integers(-8, 8, (300, 1))
+    for count in range(1, 301):
+        terms = list(values[:count])
+        if as_floats:
+            terms = [float(t[0]) for t in terms]
+        want = np.stack(terms, -1).sum(-1)
+        got = refine._pairwise_sum(terms)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), count
+
+
 class TestSolverState:
     def test_incremental_apply_matches_fresh_rebuild(self):
         rng = np.random.default_rng(25)
@@ -266,7 +334,7 @@ def _fresh_state(skills, groups, team_of, reqs, epsilon):
 @st.composite
 def _move_sequences(draw, n_max=9):
     n = draw(st.integers(2, n_max))
-    k = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 2, 3, 17]))  # 17: _pairwise_sum's loops
     m = draw(st.integers(1, min(3, n)))
     levels = st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.7, 1.0])
     row = st.lists(levels | st.floats(0.0, 1.0), min_size=k, max_size=k)
@@ -705,7 +773,8 @@ _EXTREMES = st.sampled_from([0.0, 1e-300, 1e154, 1e300])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_move_sequences(n_max=8), st.lists(_EXTREMES, min_size=3, max_size=3),
+@given(_move_sequences(n_max=8), st.lists(_EXTREMES, min_size=17,
+                                         max_size=17),
        _EXTREMES, _EXTREMES, st.sampled_from(["sahc", "fmhc", "postprocess"]))
 def test_every_climb_ends_in_a_singleton_free_partition(
         case, reqs, gamma, delta, method):
