@@ -125,6 +125,13 @@ class TaskSpec:
             object.__setattr__(self, name, value)
 
 
+def check_spec(instance: Instance, spec: TaskSpec) -> None:
+    """Raise unless spec has one requirement per skill of the roster."""
+    if spec.requirements.size != instance.k:
+        raise ValidationError(f"expected {instance.k} requirement values, "
+                              f"got {spec.requirements.size}")
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Partition of all N students into teams 0..L-1, none empty."""
@@ -288,6 +295,9 @@ def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
     if labels.ndim != 2 or labels.shape[1] != instance.n or \
             labels.dtype.kind not in "iu":
         raise ValidationError("assignment size does not match the roster")
+    if not labels.shape[0]:
+        raise ValidationError("no assignment to score")
+    check_spec(instance, spec)
     team_of, n_teams = _compact_rows(labels)
     width, k = int(n_teams.max()), instance.k
     sums = _team_sums(instance.skills, team_of, width)

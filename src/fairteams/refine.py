@@ -17,22 +17,18 @@ the lower destination.
 
 SolverState holds R rosters of one size, their team slots padded to the
 most of any (padded slots stay inactive); a single solve is the batch of
-one. fmhc climbs blocks of rosters in lockstep rounds: a round runs one pass
-of every roster still climbing, one move per roster per gain_matrix call,
-and a roster whose best gain is -inf ends its pass. Each then commits its
-own best prefix, or stops, merges its singletons and climbs again if a
-merge moved anyone. Every sum runs over one roster's own students, slots or
-teammates, so each roster gets the bits of its lone solve.
+one. fmhc climbs blocks of rosters in lockstep: each round takes one
+gain_matrix, one argmax per roster and one apply over every roster still
+in its pass. Every sum runs over one roster's own students, slots or
+teammates in a lone solve's order, so each roster gets its lone bits.
 
 The gain of moving student x to team d is f(before) - f(after). SolverState
 caches, per (x, d) cell, every term that does not depend on the global sums.
-A move updates the team sums and counts and queues a refresh of the two
-columns and two teams' rows it touches; the next gain_matrix or clone runs
-the queue once over their union, and gain_matrix adds the global sums. Each
-cell takes the same floating-point operations in the same order as a full
-recompute: gains are bit-identical. The build fills every roster's caches
-with one batched pass. gain_matrix is the only copy of this formula: gain(x,
-d) is one of its cells.
+apply updates the team sums and counts and queues a refresh of each move's
+two columns and two teams' rows; the next gain_matrix or clone runs the
+queue once over their union, and gain_matrix adds the global sums. Each cell
+takes the same floating-point operations in the same order as a full
+recompute: gains are bit-identical, and gain(x, d) is one of their cells.
 
 A move that empties its source team drops that team from the objective's
 normalizer and from the destination set; no move may create a new team.
@@ -48,14 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
-                   compact_assignment, objective_batch)
+                   check_spec, compact_assignment, objective_batch)
 from .errors import ValidationError
 
 
-# Byte budget for the (m, R*N, slots) cell cache of one lockstep batch.
-# A pass holds the state, its tentative clone and a few cache-sized
-# temporaries, so this bounds fmhc's peak memory over many small rosters.
-_BATCH_BYTES = 1 << 17
+# Byte budget for the (m, R*N, slots) cell cache of one lockstep block (20
+# rosters of the d2 preset at n=60 fit): a pass holds the state, its
+# tentative clone and a few cache-sized temporaries, so this bounds memory.
+_BATCH_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,9 @@ class RefineConfig:
 
 def _deficiency(sums: np.ndarray, requirements: np.ndarray) -> np.ndarray:
     """Per-team squared shortfall summed over skills, in numpy's order;
-    sums: (k, ...), one plane per skill."""
-    short = requirements.reshape((-1,) + (1,) * (sums.ndim - 1)) - sums
+    sums: (k, ...), one plane per skill, a temporary that this overwrites."""
+    short = np.subtract(requirements.reshape((-1,) + (1,) * (sums.ndim - 1)),
+                        sums, out=sums)
     np.maximum(short, 0.0, out=short)
     return _pairwise_sum(list(np.square(short, out=short)))
 
@@ -119,12 +116,10 @@ class SolverState:
     which team; sizes, active and defic are (R, slots). The other arrays,
     group- or skill-major, put roster r's students at r*N.. and its slots
     at r*slots.. of one flat axis. Cell (i, l) caches what does not depend
-    on the global sums: D_q, the change of group q's benefit sum when
-    student i moves to slot l (_group_delta, (m, R*N, slots)), and slot
-    l's deficiency with i added (_def_dest_new). Row i caches what i's own
-    team loses (_src_delta, (m, R*N); _def_src_new). gain and apply share
-    one move check; apply queues the rows and cols the next read refreshes.
-    """
+    on the global sums: D_q, the change of group q's benefit sum when i
+    moves to l (_group_delta, (m, R*N, slots)), and l's deficiency with i
+    added (_def_dest_new); row i, what i's own team loses (_src_delta,
+    _def_src_new). gain and apply check a move by the same rules."""
 
     def __init__(self, instances, spec: TaskSpec, b, team_of, n_slots):
         self.instances, self.spec = list(instances), spec
@@ -133,6 +128,7 @@ class SolverState:
         if any((i.n, i.m, i.k) != (n, m, k) for i in self.instances):
             raise ValidationError("the rosters of one state must share their "
                                   "size, group count and skill count")
+        check_spec(self.instances[0], spec)
         r = len(self.instances)
         if len(team_of) != r or any(np.shape(t) != (n,) for t in team_of):
             raise ValidationError("assignment size does not match the roster")
@@ -140,6 +136,9 @@ class SolverState:
         self.team_of = np.array(team_of, dtype=np.int64).reshape(r, n)
         self.n_slots = np.array(n_slots, dtype=np.int64).reshape(r)
         s, at = int(self.n_slots.max()), np.arange(r)[:, None]
+        # bounds of (student, dest, roster); (student, slot, roster) -> flat
+        self._bounds = np.array([[n], [s], [r]], dtype=np.uint64)
+        self._flat = np.array([[0, 1, s], [1, 0, n], [s, 1, n * s]])
         groups = np.stack([i.groups for i in self.instances])
         self.groups = groups.ravel()
         self._in_group = (groups == np.arange(m)[:, None, None]).reshape(m, -1)
@@ -154,19 +153,28 @@ class SolverState:
         self.sums = np.zeros((k, r * s))
         np.add.at(self.sums.T, slot_at, self._skills.T)
         self.defic = np.where(self.active, _deficiency(
-            self.sums, spec.requirements).reshape(r, s), 0.0)
+            self.sums.copy(), spec.requirements).reshape(r, s), 0.0)
         # each over its roster's own slots or students, as a lone solve
         self.defic_total = np.array([row[:count].sum() for row, count
                                      in zip(self.defic, self.n_slots)])
 
         # benefit_vs_team[i, l]: teammates-of-l that student i benefits
         # from; benefit_to_team[q, i, l]: group-q members of l that benefit
-        # from i; integer counts, so batching the rosters keeps their bits
-        membership = np.eye(s)[self.team_of]  # (R, N, slots)
-        self.benefit_vs_team = (self.b @ membership).reshape(r * n, s)
-        self.benefit_to_team = (self.b.transpose(0, 2, 1) @ (
-            membership * self._in_group.reshape(m, r, n, 1))).reshape(
-                m, r * n, s)
+        # from i. Counts of b's entries over runs of the students sorted by
+        # (slot, group), exact, so batching keeps each roster's bits
+        key = slot_at * m + self.groups
+        order = key.argsort(kind="stable")
+        runs = np.flatnonzero(np.diff(key.take(order), prepend=-1))
+        slot, group = np.divmod(key.take(order.take(runs)), m)
+        first = np.flatnonzero(np.diff(slot, prepend=-1))  # each slot's
+        mates, (roster, slot) = np.divmod(order, n), np.divmod(slot, s)
+        self.benefit_vs_team = np.zeros((r * n, s), dtype=np.int32)
+        self.benefit_vs_team.reshape(r, n, s)[roster[first], :, slot[
+            first]] = np.add.reduceat(self.b[mates[0], :, mates[1]],
+                                      runs[first], dtype=np.int32)
+        self.benefit_to_team = np.zeros((m, r * n, s), dtype=np.int32)
+        self.benefit_to_team.reshape(m, r, n, s)[group, roster, :, slot] = \
+            np.add.reduceat(self.b[mates], runs, dtype=np.int32)
         rows, n_team = np.arange(r * n), self.sizes.take(slot_at)
         own = self.benefit_vs_team[rows, self.team_of.ravel()]
         # share of teammates each benefits from (own is 0 for a lone one)
@@ -185,8 +193,7 @@ class SolverState:
                                               np.empty(r * n))
         self._group_delta = np.empty((m, r * n, s))
         self._def_dest_new = np.empty((r * n, s))
-        # flat (rows, cols) of each unread apply, and the rosters they move
-        # (_stale); the build queues all, so one refresh fills each cell once
+        # each unread apply's flat (rows, cols); the build queues them all
         self._pending = [(rows, np.arange(r * s))]
         self._refresh()
 
@@ -197,10 +204,10 @@ class SolverState:
                    [a.n_teams for a in assignments])
 
     def _refresh(self):
-        """Recompute the row terms and cells of the queued rows and cols (one
-        move's, or several moves' union), with each row's src, n_src and
-        own_vs_src (its team, its size, its benefit in it) from the state."""
-        pending, self._pending, self._stale = self._pending, [], set()
+        """Recompute the terms and cells of the union of the queued rows and
+        cols, with each row's src, n_src and own_vs_src (its team, its size,
+        its benefit in it) from the state."""
+        pending, self._pending = self._pending, []
         if not pending:
             return
         (r, n), (m, s) = self.team_of.shape, self._group_delta.shape[::2]
@@ -210,9 +217,10 @@ class SolverState:
                                                      minlength=size))
                           for part, size in zip(zip(*pending),
                                                 (r * n, r * s)))
-        src = rows // n * s + self.team_of.take(rows)
+        roster, slot = rows // n, self.team_of.take(rows)
+        src = roster * s + slot
         n_src = self.sizes.take(src)
-        own_vs_src = self.benefit_vs_team.take(rows * s + src % s)
+        own_vs_src = self.benefit_vs_team[rows, slot]
         own, sizes, req = self.own_by_group, self.sizes, self.spec.requirements
         # per slot: max(size, 1) and each group's current mean share
         safe = np.maximum(sizes, 1.0)
@@ -222,7 +230,7 @@ class SolverState:
         left = own.take(src, 1) - in_group * own_vs_src
         # in a team of one or two, left equals benefit_to (both count the
         # partner's benefit from the student), so the new share is 0
-        new = ((left - self.benefit_to_team[:, rows, src % s])
+        new = ((left - self.benefit_to_team[:, rows, slot])
                / np.maximum(n_src - 2, 1.0))
         self._src_delta[:, rows] = src_delta = new - left / np.maximum(
             n_src - 1, 1.0)
@@ -231,34 +239,36 @@ class SolverState:
             self.sums.take(src, 1) - self._skills.take(rows, 1), req
         ) * (n_src > 1)
 
-        roster = rows // n  # each row's own roster's slots
-        d = own.reshape(m, r, s).take(roster, 1)
+        d = own.reshape(m, r, s).take(roster, 1)  # its own roster's slots
         d += self.benefit_to_team.take(rows, 1)
         self._group_delta[:, rows] = _group_change(
             d, safe.take(roster, 0), stay.reshape(m, r, s).take(roster, 1),
             src_delta[:, :, None], self.benefit_vs_team.take(rows, 0),
             self.ind.take(rows)[:, None], in_group[:, :, None])
+        del d
         # each column's cells, (C, N): its roster's students in that slot
-        cells = (cols // s * n * s + cols % s)[:, None] + np.arange(n) * s
-        col_rows = cells // s
+        roster, slot = np.divmod(cols, s)
         if rows.size < r * n:  # else every cell is already fresh
-            block = _group_change(
-                own.take(cols, 1)[:, :, None]
-                + self.benefit_to_team.reshape(m, -1).take(cells, 1),
+            cells = (slice(None), roster, slice(None), slot)  # as (C, m, N)
+            self._group_delta.reshape(m, r, n, s)[cells] = _group_change(
+                self.benefit_to_team.reshape(m, r, n, s)[cells].transpose(
+                    1, 0, 2) + own.take(cols, 1)[:, :, None],
                 safe.take(cols)[:, None], stay.take(cols, 1)[:, :, None],
-                self._src_delta.take(col_rows, 1),
-                self.benefit_vs_team.take(cells), self.ind.take(col_rows),
-                self._in_group.take(col_rows, 1))
-            self._group_delta.reshape(m, -1)[:, cells] = block
-        self._def_dest_new.reshape(-1)[cells] = _deficiency(
-            self.sums.take(cols, 1)[:, :, None]
-            + self._skills.take(col_rows, 1), req)
+                self._src_delta.reshape(m, r, n).take(roster, 1),
+                self.benefit_vs_team.reshape(r, n, s)[roster, :, slot],
+                self.ind.reshape(r, n).take(roster, 0),
+                self._in_group.reshape(m, r, n).take(roster, 1)
+            ).transpose(1, 0, 2)
+        dest = self._skills.reshape(self.k, r, n).take(roster, 1)
+        dest += self.sums.take(cols, 1)[:, :, None]  # a + b is b + a
+        self._def_dest_new.reshape(r, n, s)[roster, :, slot] = _deficiency(
+            dest, req)
 
     def clone(self) -> "SolverState":
         self._refresh()
         other = object.__new__(SolverState)
         # shared arrays; the queue is empty after _refresh
-        other.__dict__.update(self.__dict__, _pending=[], _stale=set())
+        other.__dict__.update(self.__dict__, _pending=[])
         for name in ("team_of", "sizes", "active", "n_active", "sums",
                      "defic", "defic_total", "benefit_vs_team",
                      "benefit_to_team", "ind", "ind_total", "group_sums",
@@ -268,19 +278,14 @@ class SolverState:
         return other
 
     def objective(self) -> ObjectiveBreakdown:
-        """x, y, z and f, (R,) arrays of each roster's Python floats summed
-        in numpy's order."""
-        terms, spec = [], self.spec
-        for defic, n_active, ind, means in zip(
-                self.defic_total.tolist(), self.n_active.tolist(),
-                self.ind_total.tolist(),
-                (self.group_sums / self.group_counts).tolist()):
-            x, y = defic / (n_active * self.k), ind / self.n
-            mean = _pairwise_sum(means) / self.m  # np.var, unwrapped
-            z = _pairwise_sum([(v - mean) * (v - mean)
-                               for v in means]) / self.m
-            terms.append((x, y, z, x - spec.gamma * y + spec.delta * z))
-        return ObjectiveBreakdown(*np.array(terms).T)
+        """x, y, z and f, (R,) arrays: each roster's terms in the order of
+        np.var and core.objective."""
+        means = self.group_sums / self.group_counts
+        x = self.defic_total / (self.n_active * self.k)
+        y, spec = self.ind_total / self.n, self.spec
+        means -= _pairwise_sum(list(means.T))[:, None] / self.m  # np.var
+        z = _pairwise_sum(list(np.square(means, out=means).T)) / self.m
+        return ObjectiveBreakdown(x, y, z, x - spec.gamma * y + spec.delta * z)
 
     def assignments(self) -> list[Assignment]:
         return [compact_assignment(row) for row in self.team_of]
@@ -307,7 +312,9 @@ class SolverState:
         y_new = _pairwise_sum(list(g)) + self.ind_total[part, None, None]
         g += self.group_sums[part].T[:, :, None, None]
         g /= self.group_counts[part].T[:, :, None, None]
-        g -= _pairwise_sum(list(g)) / m  # each group's mean
+        mean = _pairwise_sum(list(g))  # each group's mean, in place: with
+        g -= np.divide(mean, m, out=mean)  # m = 1 it is g[0], and x / 1 is x
+        del mean
         z_new = _pairwise_sum(list(np.square(g, out=g)))
         del g
         z_new /= m
@@ -322,9 +329,10 @@ class SolverState:
                   * float(self.k))[:, :, None]
 
         # gains = f - (x_new - gamma * y_new + delta * z_new)
-        y_new *= self.spec.gamma
+        for term, weight in (y_new, self.spec.gamma), (z_new, self.spec.delta):
+            if weight != 1.0:  # x * 1.0 is x
+                term *= weight
         x_new -= y_new
-        z_new *= self.spec.delta
         x_new += z_new
         gains = np.subtract(self.objective().f[part, None, None], x_new,
                             out=x_new)
@@ -334,8 +342,28 @@ class SolverState:
         gains.reshape(-1, s)[np.arange(live.size), src.ravel()] = -np.inf
         return gains
 
-    def _check_move(self, student: int, dest: int, roster: int) -> int:
-        """The move's source team; raises unless the move is a valid one."""
+    def _check_move(self, moves: np.ndarray) -> np.ndarray:
+        """The source teams of (3, M) (students, dests, rosters) moves;
+        raises unless each is valid and the rosters ascend (none repeats)."""
+        students, dests, rosters = moves
+        bad = moves.view(np.uint64) >= self._bounds  # as uint, -1 is huge
+        if bad.any():
+            at = (bad[0] | bad[2]).argmax()
+            raise ValidationError(
+                f"no student {students[at]} in roster {rosters[at]}"
+                if bad[0, at] or bad[2, at] else
+                f"team {dests[bad[1].argmax()]} is not another active team")
+        if (rosters[1:] <= rosters[:-1]).any():
+            raise ValidationError("the moves' rosters must ascend")
+        src = self.team_of[rosters, students]
+        bad = (src == dests) >= self.active[rosters, dests]  # stays or dead
+        if bad.any():
+            raise ValidationError(
+                f"team {dests[bad.argmax()]} is not another active team")
+        return src
+
+    def _check_one(self, student: int, dest: int, roster: int) -> int:
+        """The move's source team; raises as _check_move would."""
         if not (0 <= roster < len(self.instances) and 0 <= student < self.n):
             raise ValidationError(f"no student {student} in roster {roster}")
         src = int(self.team_of[roster, student])
@@ -346,24 +374,90 @@ class SolverState:
 
     def gain(self, student: int, dest: int, roster: int = 0) -> float:
         """Single-move gain: gain_matrix with every other student locked."""
-        self._check_move(student, dest, roster)
+        self._check_one(student, dest, roster)
         locked = np.ones(self.team_of.shape, dtype=bool)
         locked[roster, student] = False
         return float(self.gain_matrix(locked)[0, 0, dest])
 
-    def apply(self, student: int, dest: int, roster: int = 0):
-        """Move the roster's student, update the accumulators, and queue the
-        refresh of two columns and two teams' rows for the next read."""
-        src = self._check_move(student, dest, roster)
+    def apply(self, students, dests, rosters=0):
+        """Move each given roster's student to dest (scalars for one move;
+        rosters ascending), update the accumulators, and queue the refresh
+        of each move's two columns and two teams' rows for the next read.
+        One move takes _apply_one's scalar path, whose numpy calls are a
+        third of this path's; both give the same bits."""
+        moves = np.array((students, dests, rosters), np.int64).reshape(3, -1)
+        if moves.shape[1] == 1:
+            return self._apply_one(*moves[:, 0].tolist())
+        src, count = self._check_move(moves), moves.shape[1]
+        (r, n), m, s = self.team_of.shape, self.m, self.sizes.shape[1]
+        # every src, then every dest: the mover, slot and roster, their flat
+        # forms, and -1 or +1 for the mover leaving or joining
+        students, slots, rosters = both = np.concatenate((moves, moves), 1)
+        slots[:count] = src
+        pair, x, cell = self._flat @ both
+        sign = np.repeat(np.array([-1, 1], dtype=np.int8), count)
+        sizes, active = self.sizes.reshape(-1), self.active.reshape(-1)
+
+        # a - b is a + (-b), so these keep the bits of -= and +=
+        np.add.at(self.sums, (slice(None), pair),
+                  self._skills.take(x, 1) * sign)
+        np.add.at(sizes, pair, sign)
+        size = sizes.take(pair)
+        if not size[:count].all():  # emptied teams
+            gone = pair[:count][size[:count] == 0]
+            active[gone] = False
+            self.n_active[gone // s] -= 1
+            self.sums[:, gone] = 0.0
+        old = self.defic.take(pair)  # both teams' deficiency, from the sums
+        self.defic.reshape(-1)[pair] = new = _deficiency(
+            self.sums[:, pair], self.spec.requirements) * active[pair]
+        self.defic_total[moves[2]] = (self.defic_total.take(moves[2]) - (
+            old[:count] + old[count:])) + (new[:count] + new[count:])
+
+        # integer counts, so these updates are exact in any order
+        groups, own = self.groups.take(x), self.benefit_to_team.reshape(
+            m, -1).take(cell, 1)
+        own[groups, np.arange(2 * count)] += self.benefit_vs_team.take(cell)
+        np.add.at(self.own_by_group, (slice(None), pair), own * sign)
+        self.benefit_vs_team.reshape(r, n, s)[rosters, :, slots] += \
+            self.b[rosters, :, students] * sign[:, None]
+        self.benefit_to_team.reshape(m, r, n, s)[groups, rosters, :, slots] \
+            += self.b[rosters, students] * sign[:, None]
+        self.team_of[moves[2], moves[0]] = moves[1]
+
+        # both teams' members: one segment per entry of pair, each roster's
+        # src then dest, each in ascending order
+        segment, rows = (self.team_of.take(rosters, 0)
+                         == slots[:, None]).nonzero()
+        rows += (x - students).take(segment)
+        ind = self.benefit_vs_team[rows, slots.take(segment)] / np.maximum(
+            size - 1, 1.0).take(segment)
+        delta = ind - self.ind.take(rows)
+        self.ind[rows] = ind
+        # each segment's sum in numpy's order. Fewer than 8 terms add in
+        # turn, so zeros after them change no bits and such segments share
+        # width 7; from 8 on, the pairwise grouping follows the count
+        width, padded = np.maximum(size, 7.0), np.zeros((2 * count, n))
+        padded[np.arange(n) < size[:, None]] = delta  # row-major: in order
+        for length in set(width.tolist()):
+            of = width == length
+            size[of] = padded[of, :int(length)].sum(axis=1)  # now the sums
+        self.ind_total[moves[2]] = (self.ind_total.take(moves[2])
+                                    + size[:count]) + size[count:]
+        np.add.at(self.group_sums.reshape(-1), self._group_at.take(rows),
+                  delta)
+        self._pending.append((rows, pair))
+
+    def _apply_one(self, student: int, dest: int, roster: int):
+        """apply for one move, through the roster's own views."""
+        src = self._check_one(student, dest, roster)
         n, s = self.n, self.sizes.shape[1]
-        # this roster's students and slots on the flat axes, and its views
         at, mine, theirs = roster * s, slice(roster * s, roster * s + s), \
             slice(roster * n, roster * n + n)
         g, pair = int(self.groups[roster * n + student]), np.array([src, dest])
         sums, skill = self.sums[:, mine], self._skills[:, roster * n + student]
         sizes, team = self.sizes[roster], self.team_of[roster]
         active, defic = self.active[roster], self.defic[roster]
-
         sums[:, src] -= skill
         sums[:, dest] += skill
         sizes[src] -= 1
@@ -372,22 +466,17 @@ class SolverState:
             active[src] = False
             self.n_active[roster] -= 1
             sums[:, src] = 0.0
-        # both teams' new deficiency, from the new sums while a refresh of
-        # this roster waits
         self.defic_total[roster] -= defic[src] + defic[dest]
-        if roster in self._stale:
-            defic[pair] = _deficiency(
-                sums[:, pair], self.spec.requirements) * active[pair]
+        if self._pending:  # from the new sums; else the caches are fresh
+            defic[pair] = _deficiency(sums[:, pair],
+                                      self.spec.requirements) * active[pair]
         else:
-            defic[src] = self._def_src_new[theirs][student]
-            defic[dest] = self._def_dest_new[theirs][student, dest]
+            defic[src] = self._def_src_new[roster * n + student]
+            defic[dest] = self._def_dest_new[roster * n + student, dest]
         self.defic_total[roster] += defic[src] + defic[dest]
-        self._stale.add(roster)
-
-        # integer counts, so these updates are exact
         own, b = self.own_by_group[:, mine], self.b[roster]
-        vs_team = self.benefit_vs_team[theirs]
-        to_team = self.benefit_to_team[:, theirs]
+        vs_team, to_team = self.benefit_vs_team[theirs], \
+            self.benefit_to_team[:, theirs]
         own[:, src] -= to_team[:, student, src]
         own[g, src] -= vs_team[student, src]
         own[:, dest] += to_team[:, student, dest]
@@ -397,14 +486,11 @@ class SolverState:
         to_team[g, :, src] -= b[student]
         to_team[g, :, dest] += b[student]
         team[student] = dest
-
         # both teams' members, src's first, each in ascending order
         left = (team == src).nonzero()[0]
         rows = np.concatenate((left, (team == dest).nonzero()[0]))
         slots = team.take(rows)
-        n_team = sizes.take(slots)
-        own = vs_team[rows, slots]
-        ind = own / np.maximum(n_team - 1, 1.0)
+        ind = vs_team[rows, slots] / np.maximum(sizes.take(slots) - 1, 1.0)
         delta = ind - self.ind[theirs].take(rows)
         self.ind[theirs][rows] = ind
         self.ind_total[roster] += float(np.add.reduce(delta[:left.size]))
@@ -414,17 +500,15 @@ class SolverState:
         self._pending.append((rows + roster * n, pair + at))
 
 
-def _best_moves(state: SolverState, locked: np.ndarray) -> list[tuple]:
-    """(roster, student, dest, gain) of each live roster's row-major first
-    maximum, in roster order."""
+def _best_moves(state: SolverState, locked: np.ndarray) -> tuple:
+    """(rosters, students, dests, gains) arrays: each live roster's
+    row-major first maximum, in roster order."""
     gains = state.gain_matrix(locked)
     flat = gains.reshape(len(gains), -1)
-    live = (~locked).ravel().nonzero()[0].reshape(len(gains), -1)
-    moves, s = [], gains.shape[2]
-    for row_live, row, cell in zip(live, flat, flat.argmax(axis=1).tolist()):
-        roster, student = divmod(int(row_live[cell // s]), state.n)
-        moves.append((roster, student, cell % s, float(row[cell])))
-    return moves
+    cells, at = flat.argmax(axis=1), np.arange(len(gains))
+    live = np.flatnonzero(~locked).reshape(len(gains), -1)
+    row, dests = np.divmod(cells, gains.shape[2])
+    return (*np.divmod(live[at, row], state.n), dests, flat[at, cells])
 
 
 def _merge_singletons(state: SolverState, merging: np.ndarray) -> np.ndarray:
@@ -442,39 +526,41 @@ def _merge_singletons(state: SolverState, merging: np.ndarray) -> np.ndarray:
         students = (state.team_of[rosters] == slots[:, None]).argmax(axis=1)
         locked = np.ones(state.team_of.shape, dtype=bool)
         locked[rosters, students] = False
-        for roster, student, dest, _ in _best_moves(state, locked):
-            state.apply(student, dest, roster)
+        rosters, students, dests, _ = _best_moves(state, locked)
+        state.apply(students, dests, rosters)
         changed[rosters] = True
 
 
 def _refine(instances, spec: TaskSpec, b, initial, step) -> list[Assignment]:
-    """Run step(state, climbing) in rounds. It proposes (roster, [(student,
-    dest), ...]) pairs, applied only if f recomputed from the assignment
-    falls: rounding in the gains must not let a climb revisit an assignment.
-    A roster that applied none merges its singleton teams and climbs again
-    while a merge changes anything (merges only shrink team counts)."""
+    """Run step(state, climbing) in rounds. It proposes (moves, lengths):
+    roster r's (student, dest) moves moves[:, r, :lengths[r]], applied only
+    if f recomputed from the assignment falls (rounding in the gains must
+    not let a climb revisit an assignment). A roster that applied none
+    merges its singletons and climbs again while a merge moves anyone."""
     state = SolverState.from_assignment(instances, spec, b, initial)
     climbing = np.ones(len(state.instances), dtype=bool)
     while climbing.any():
-        moved = np.zeros_like(climbing)
-        for roster, moves in step(state, climbing):
+        moves, lengths = step(state, climbing)
+        for roster in np.flatnonzero(lengths).tolist():
             labels = np.repeat(state.team_of[roster][None], 2, axis=0)
-            students, dests = zip(*moves)
-            labels[1, list(students)] = dests
+            students, dests = moves[:, roster, :lengths[roster]]
+            labels[1, students] = dests
             f = objective_batch(state.instances[roster], spec,
                                 state.b[roster], labels).f
-            if f[1] < f[0]:
-                moved[roster] = True
-                for student, dest in moves:
-                    state.apply(student, dest, roster)
-        climbing = moved | _merge_singletons(state, climbing & ~moved)
+            lengths[roster] *= f[1] < f[0]
+        for at in range(lengths.max()):
+            go = np.flatnonzero(lengths > at)
+            state.apply(moves[0, go, at], moves[1, go, at], go)
+        climbing = (lengths > 0) | _merge_singletons(state,
+                                                     climbing & (lengths == 0))
     return state.assignments()
 
 
 def postprocess(instance: Instance, spec: TaskSpec, b: np.ndarray,
                 assignment: Assignment) -> Assignment:
     """Merge each singleton team into its best team (a lone team stays)."""
-    return _refine([instance], spec, [b], [assignment], lambda *_: [])[0]
+    return _refine([instance], spec, [b], [assignment], lambda *_: (
+        np.zeros((2, 1, 0), np.int64), np.zeros(1, np.int64)))[0]
 
 
 def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
@@ -482,40 +568,40 @@ def sahc(instance: Instance, spec: TaskSpec, b: np.ndarray,
     """Steepest-ascent hill climbing (on a minimized objective): propose the
     best move while its gain is strictly positive."""
 
-    def step(state: SolverState, climbing: np.ndarray) -> list[tuple]:
-        (_, student, dest, gain), = _best_moves(
+    def step(state: SolverState, climbing: np.ndarray) -> tuple:
+        _, students, dests, gains = _best_moves(
             state, np.zeros(state.team_of.shape, dtype=bool))
-        return [(0, [(student, dest)])] if gain > 0.0 else []
+        return np.stack((students, dests))[:, :, None], (gains > 0.0) * 1
 
     return _refine([instance], spec, [b], [initial], step)[0]
 
 
 def _fmhc_pass(state: SolverState, climbing: np.ndarray,
-               config: RefineConfig) -> list[tuple]:
+               config: RefineConfig) -> tuple:
     """One pass of each climbing roster: tentatively move every student,
     then propose the roster's best prefix if its gain clears gain_epsilon.
     The state is left as it was."""
     work = state.clone()
     locked = np.repeat(~climbing[:, None], state.n, axis=1)
-    sequences = [[] for _ in climbing]  # each roster's tentative moves
+    # round i holds each roster's i-th move: it moves until its pass ends
+    (r, n), i = locked.shape, 0
+    moves, gains = np.zeros((2, r, n), dtype=np.int64), np.zeros((r, n))
     while not locked.all():
-        for roster, student, dest, gain in _best_moves(work, locked):
-            if gain == -np.inf:  # the roster's pass has ended
-                locked[roster] = True
-                continue
-            locked[roster, student] = True
-            work.apply(student, dest, roster)
-            sequences[roster].append((student, dest, gain))
-    proposals = []
-    for roster, sequence in enumerate(sequences):
-        if not sequence:
-            continue
-        cumulative = np.cumsum([gain for (_, _, gain) in sequence])
-        best = int(np.argmax(cumulative))  # first max = shortest prefix
-        if cumulative[best] > config.gain_epsilon:
-            proposals.append((roster, [move[:2]
-                                       for move in sequence[:best + 1]]))
-    return proposals
+        rosters, students, dests, gain = _best_moves(work, locked)
+        ended = gain == -np.inf
+        if ended.any():  # these rosters' passes have ended
+            locked[rosters[ended]] = True
+            rosters, students, dests, gain = (
+                part[~ended] for part in (rosters, students, dests, gain))
+        locked[rosters, students] = True
+        work.apply(students, dests, rosters)
+        moves[:, rosters, i], gains[rosters, i] = (students, dests), gain
+        i += 1
+    # padded zeros repeat a total: the first maximum is the shortest prefix
+    cumulative = gains.cumsum(axis=1)
+    best = cumulative.argmax(axis=1)
+    commit = cumulative[np.arange(r), best] > config.gain_epsilon
+    return moves, np.where(commit, best + 1, 0)
 
 
 def fmhc(instance, spec: TaskSpec, b, initial,
@@ -529,7 +615,7 @@ def fmhc(instance, spec: TaskSpec, b, initial,
     stats = {} if stats is None else stats
     stats["passes"] = 0
 
-    def step(state: SolverState, climbing: np.ndarray) -> list[tuple]:
+    def step(state: SolverState, climbing: np.ndarray) -> tuple:
         stats["passes"] += int(climbing.sum())
         return _fmhc_pass(state, climbing, config)
 

@@ -483,6 +483,14 @@ class TestObjectiveBatch:
             objective_batch(inst, TaskSpec(requirements=np.ones(inst.k)), b,
                             labels)
 
+    def test_rejects_zero_rows(self):
+        # an integer (0, N) batch used to reach numpy's zero-size reduction
+        inst = make_random_instance(np.random.default_rng(19), n=12)
+        b = compute_benefit_matrix(inst, 0.0)
+        with pytest.raises(ValidationError, match="no assignment"):
+            objective_batch(inst, TaskSpec(requirements=np.ones(inst.k)), b,
+                            np.zeros((0, 12), dtype=np.int64))
+
 
 class TestObjectiveInvariants:
     def test_student_permutation_invariance(self):

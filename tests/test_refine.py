@@ -16,7 +16,7 @@ from fairteams.core import (Assignment, TaskSpec, compact_assignment,
                             compute_benefit_matrix, make_instance, objective)
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
-from fairteams.initial import gmbf, random_init
+from fairteams.initial import gmbf, lmbff, random_init
 from fairteams import refine
 from fairteams.refine import (RefineConfig, SolverState, fmhc, postprocess,
                               sahc)
@@ -187,7 +187,23 @@ class TestMoveCheck:
             state.gain(student, dest, roster)
         with pytest.raises(ValidationError):
             state.apply(student, dest, roster)
+        # and beside a valid move of the other roster, in one call
+        valid = (3, 3, 1) if roster < 1 else (0, 3, 0)
+        pair = sorted([(student, dest, roster), valid], key=lambda m: m[2])
+        with pytest.raises(ValidationError):
+            state.apply(*np.array(pair).T)
         assert [getattr(state, name).tobytes() for name in names] == before
+
+    @pytest.mark.parametrize("rosters", [[0, 0], [1, 0]],
+                             ids=["repeated", "descending"])
+    def test_apply_rejects_rosters_out_of_order(self, rosters):
+        # one call makes one move per roster, rosters ascending; each move
+        # alone is valid, and a rejected call changes nothing
+        state = self._state()
+        before = state.team_of.tobytes(), state.sums.tobytes()
+        with pytest.raises(ValidationError, match="ascend"):
+            state.apply([0, 3], [3, 3], rosters)
+        assert (state.team_of.tobytes(), state.sums.tobytes()) == before
 
     def test_rejects_an_assignment_of_another_size(self):
         inst = make_random_instance(np.random.default_rng(31), n=12)
@@ -207,6 +223,22 @@ def test_refiners_reject_an_assignment_of_another_size(refiner):
     b = compute_benefit_matrix(inst, 0.0)
     with pytest.raises(ValidationError, match="assignment size"):
         refiner(inst, spec, b, Assignment(np.arange(11) % 3))
+
+
+@pytest.mark.parametrize("values", [[2.0], [2.0, 2.0, 2.0]],
+                         ids=["1 value", "3 values"])
+@pytest.mark.parametrize("entry", [
+    lambda inst, spec, b: objective(inst, spec, Assignment(np.arange(12) % 3),
+                                    b),
+    lambda inst, spec, b: fmhc(inst, spec, b, Assignment(np.arange(12) % 3)),
+    gmbf, lmbff], ids=["objective", "fmhc", "gmbf", "lmbff"])
+def test_entry_points_reject_a_spec_of_another_skill_count(entry, values):
+    # on a 2-skill roster, 1 value used to broadcast over both skills and 3
+    # values to fail in numpy broadcasting
+    inst = make_random_instance(np.random.default_rng(34), n=12, k=2)
+    b = compute_benefit_matrix(inst, 0.0)
+    with pytest.raises(ValidationError, match="expected 2 requirement"):
+        entry(inst, TaskSpec(requirements=values), b)
 
 
 @pytest.mark.parametrize("as_floats", [False, True], ids=["arrays", "floats"])
@@ -248,6 +280,29 @@ class TestSolverState:
         got = state.objective()
         assert (got.x[0], got.y[0], got.z[0], got.f[0]) == pytest.approx(
             (want.x, want.y, want.z, want.f), abs=1e-12)
+
+    @pytest.mark.parametrize("n, teams", [(30, (3, 7, 12)), (300, (2, 3, 5))],
+                             ids=["padded slots", "counts past 127"])
+    def test_build_counts_equal_benefit_times_membership(self, n, teams):
+        # the counting build against b @ one-hot, on three rosters whose
+        # slot counts differ, so two have padded slots; b is int8, and
+        # teams of 60 or more hold counts it cannot
+        rng = np.random.default_rng(28)
+        insts = [make_random_instance(rng, n=n, k=2, m=3) for _ in teams]
+        bs = [compute_benefit_matrix(inst, 0.0) for inst in insts]
+        starts = [random_partition(rng, n, count) for count in teams]
+        state = SolverState.from_assignment(
+            insts, TaskSpec(requirements=[2.0, 2.0]), bs, starts)
+        slots = state.sizes.shape[1]
+        for r, (inst, b, start) in enumerate(zip(insts, bs, starts)):
+            one_hot = np.eye(slots)[start.team_of]  # (N, slots)
+            rows = slice(n * r, n * r + n)
+            assert np.array_equal(state.benefit_vs_team[rows], b @ one_hot)
+            for q in range(3):
+                in_q = one_hot * (inst.groups == q)[:, None]
+                assert np.array_equal(state.benefit_to_team[q, rows],
+                                      b.T @ in_q)
+        assert (state.benefit_vs_team.max() > 127) == (n > 127)
 
     def test_clone_is_independent(self):
         rng = np.random.default_rng(27)
@@ -729,6 +784,55 @@ class TestLockstep:
             check_caches()
         assert [a.team_of.tolist() for a in batch.assignments()] == \
             [single.assignments()[0].team_of.tolist() for single in singles]
+
+    @pytest.mark.parametrize("budget", [refine._BATCH_BYTES, 1])
+    def test_teams_of_16_or_more_keep_each_rosters_bits(self, monkeypatch,
+                                                       budget):
+        # a team sum of 16 or more terms runs numpy's 8-way pairwise unroll
+        # at least twice
+        spec = TaskSpec(requirements=[2.7, 1.9], delta=3.0)
+        rosters = []
+        for seed in range(4):
+            inst = make_random_instance(np.random.default_rng(40 + seed),
+                                        n=60, k=2, m=3)
+            start = random_init(inst.n, 3, rng=seed)
+            assert np.bincount(start.team_of).min() >= 16
+            rosters.append((inst, compute_benefit_matrix(inst, 0.0), start))
+        singles = [fmhc(inst, spec, b, start) for inst, b, start in rosters]
+        assert any((single.team_of != start.team_of).any()
+                   for single, (_, _, start) in zip(singles, rosters))
+        monkeypatch.setattr(refine, "_BATCH_BYTES", budget)
+        insts, bs, starts = (list(part) for part in zip(*rosters))
+        batch = fmhc(insts, spec, bs, starts)
+        assert [a.team_of.tobytes() for a in batch] == \
+            [a.team_of.tobytes() for a in singles]
+
+    def test_apply_sums_each_team_in_numpys_order(self):
+        # one call moves a student in each of three rosters, with teams of
+        # about 25, 17 and 5; each ind_total adds np.add.reduce of its src
+        # team's changes, then of its dest team's, as a lone apply did
+        rng = np.random.default_rng(43)
+        insts = [make_random_instance(rng, n=50, k=2, m=2) for _ in range(3)]
+        bs = [compute_benefit_matrix(inst, 0.0) for inst in insts]
+        starts = [random_partition(rng, 50, teams) for teams in (2, 3, 9)]
+        state = SolverState.from_assignment(
+            insts, TaskSpec(requirements=[2.7, 1.9]), bs, starts)
+        for _ in range(20):
+            moves = []  # (student, dest, roster)
+            for r in range(3):
+                student = int(rng.integers(50))
+                dests = np.flatnonzero(state.active[r])
+                dests = dests[dests != state.team_of[r, student]]
+                if dests.size:
+                    moves.append((student, int(rng.choice(dests)), r))
+            srcs = [int(state.team_of[r, student]) for student, _, r in moves]
+            ind, want = state.ind.copy(), state.ind_total.copy()
+            state.apply(*np.array(moves).T)
+            for (_, dest, r), src in zip(moves, srcs):
+                for slot in (src, dest):
+                    rows = 50 * r + np.flatnonzero(state.team_of[r] == slot)
+                    want[r] += np.add.reduce(state.ind[rows] - ind[rows])
+            assert state.ind_total.tobytes() == want.tobytes()
 
     def test_rosters_of_different_sizes_are_rejected(self):
         spec = TaskSpec(requirements=[2.0, 2.0])
