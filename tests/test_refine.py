@@ -695,8 +695,8 @@ class TestLockstep:
     @pytest.mark.parametrize("spec, merged", [
         (TaskSpec(requirements=[0.45, 0.35], gamma=0.0, delta=0.01), True),
         (TaskSpec(requirements=[2.7, 1.9]), False)])
-    # one block of all five rosters, and blocks of one
-    @pytest.mark.parametrize("budget", [refine._BATCH_BYTES, 1])
+    # one block of all five rosters (128 KiB holds them), and blocks of one
+    @pytest.mark.parametrize("budget", [1 << 17, 1])
     def test_batch_equals_each_single_solve(self, monkeypatch, spec, merged,
                                             budget):
         # continuous skills, so that every sum's order shows in its bits;
@@ -726,6 +726,8 @@ class TestLockstep:
         # some solve's merges moved a student, and the solves stop climbing
         # in different rounds
         assert any(merges) == merged and len(set(passes)) > 1
+        slots = max(start.n_teams for _, _, start in rosters)
+        assert budget == 1 or budget // (8 * 2 * 40 * slots) >= len(rosters)
         stats = {}
         monkeypatch.setattr(refine, "_BATCH_BYTES", budget)
         batch = fmhc([inst for inst, _, _ in rosters], spec,
