@@ -17,18 +17,22 @@ the lower destination.
 
 SolverState holds R rosters of one size, their team slots padded to the
 most of any (padded slots stay inactive); a single solve is the batch of
-one. fmhc climbs blocks of rosters in lockstep: each round takes one
-gain_matrix, one argmax per roster and one apply over every roster still
-in its pass. Every sum runs over one roster's own students, slots or
-teammates in a lone solve's order, so each roster gets its lone bits.
+one. fmhc climbs blocks of rosters in lockstep rounds: a round runs one pass
+of every roster still climbing, one move per roster per gain_matrix call,
+and a roster whose best gain is -inf ends its pass. Each then commits its
+own best prefix, or stops, merges its singletons and climbs again if a
+merge moved anyone. Every sum runs over one roster's own students, slots or
+teammates, so each roster gets the bits of its lone solve.
 
 The gain of moving student x to team d is f(before) - f(after). SolverState
 caches, per (x, d) cell, every term that does not depend on the global sums.
-apply updates the team sums and counts and queues a refresh of each move's
-two columns and two teams' rows; the next gain_matrix or clone runs the
-queue once over their union, and gain_matrix adds the global sums. Each cell
-takes the same floating-point operations in the same order as a full
-recompute: gains are bit-identical, and gain(x, d) is one of their cells.
+A move updates the team sums and counts and queues a refresh of the two
+columns and two teams' rows it touches; the next gain_matrix or clone runs
+the queue once over their union, and gain_matrix adds the global sums. Each
+cell takes the same floating-point operations in the same order as a full
+recompute: gains are bit-identical. The build fills every roster's caches
+with one batched pass. gain_matrix is the only copy of this formula: gain(x,
+d) is one of its cells.
 
 A move that empties its source team drops that team from the objective's
 normalizer and from the destination set; no move may create a new team.
@@ -116,10 +120,12 @@ class SolverState:
     which team; sizes, active and defic are (R, slots). The other arrays,
     group- or skill-major, put roster r's students at r*N.. and its slots
     at r*slots.. of one flat axis. Cell (i, l) caches what does not depend
-    on the global sums: D_q, the change of group q's benefit sum when i
-    moves to l (_group_delta, (m, R*N, slots)), and l's deficiency with i
-    added (_def_dest_new); row i, what i's own team loses (_src_delta,
-    _def_src_new). gain and apply check a move by the same rules."""
+    on the global sums: D_q, the change of group q's benefit sum when
+    student i moves to slot l (_group_delta, (m, R*N, slots)), and slot
+    l's deficiency with i added (_def_dest_new). Row i caches what i's own
+    team loses (_src_delta, (m, R*N); _def_src_new). gain and apply share
+    one move check; apply queues the rows and cols the next read refreshes.
+    """
 
     def __init__(self, instances, spec: TaskSpec, b, team_of, n_slots):
         self.instances, self.spec = list(instances), spec
@@ -136,9 +142,6 @@ class SolverState:
         self.team_of = np.array(team_of, dtype=np.int64).reshape(r, n)
         self.n_slots = np.array(n_slots, dtype=np.int64).reshape(r)
         s, at = int(self.n_slots.max()), np.arange(r)[:, None]
-        # bounds of (student, dest, roster); (student, slot, roster) -> flat
-        self._bounds = np.array([[n], [s], [r]], dtype=np.uint64)
-        self._flat = np.array([[0, 1, s], [1, 0, n], [s, 1, n * s]])
         groups = np.stack([i.groups for i in self.instances])
         self.groups = groups.ravel()
         self._in_group = (groups == np.arange(m)[:, None, None]).reshape(m, -1)
@@ -193,7 +196,8 @@ class SolverState:
                                               np.empty(r * n))
         self._group_delta = np.empty((m, r * n, s))
         self._def_dest_new = np.empty((r * n, s))
-        # each unread apply's flat (rows, cols); the build queues them all
+        # flat (rows, cols) of each unread apply, and the rosters they move
+        # (_stale); the build queues all, so one refresh fills each cell once
         self._pending = [(rows, np.arange(r * s))]
         self._refresh()
 
@@ -207,7 +211,7 @@ class SolverState:
         """Recompute the terms and cells of the union of the queued rows and
         cols, with each row's src, n_src and own_vs_src (its team, its size,
         its benefit in it) from the state."""
-        pending, self._pending = self._pending, []
+        pending, self._pending, self._stale = self._pending, [], set()
         if not pending:
             return
         (r, n), (m, s) = self.team_of.shape, self._group_delta.shape[::2]
@@ -268,7 +272,7 @@ class SolverState:
         self._refresh()
         other = object.__new__(SolverState)
         # shared arrays; the queue is empty after _refresh
-        other.__dict__.update(self.__dict__, _pending=[])
+        other.__dict__.update(self.__dict__, _pending=[], _stale=set())
         for name in ("team_of", "sizes", "active", "n_active", "sums",
                      "defic", "defic_total", "benefit_vs_team",
                      "benefit_to_team", "ind", "ind_total", "group_sums",
@@ -329,10 +333,9 @@ class SolverState:
                   * float(self.k))[:, :, None]
 
         # gains = f - (x_new - gamma * y_new + delta * z_new)
-        for term, weight in (y_new, self.spec.gamma), (z_new, self.spec.delta):
-            if weight != 1.0:  # x * 1.0 is x
-                term *= weight
+        y_new *= self.spec.gamma
         x_new -= y_new
+        z_new *= self.spec.delta
         x_new += z_new
         gains = np.subtract(self.objective().f[part, None, None], x_new,
                             out=x_new)
@@ -342,28 +345,8 @@ class SolverState:
         gains.reshape(-1, s)[np.arange(live.size), src.ravel()] = -np.inf
         return gains
 
-    def _check_move(self, moves: np.ndarray) -> np.ndarray:
-        """The source teams of (3, M) (students, dests, rosters) moves;
-        raises unless each is valid and the rosters ascend (none repeats)."""
-        students, dests, rosters = moves
-        bad = moves.view(np.uint64) >= self._bounds  # as uint, -1 is huge
-        if bad.any():
-            at = (bad[0] | bad[2]).argmax()
-            raise ValidationError(
-                f"no student {students[at]} in roster {rosters[at]}"
-                if bad[0, at] or bad[2, at] else
-                f"team {dests[bad[1].argmax()]} is not another active team")
-        if (rosters[1:] <= rosters[:-1]).any():
-            raise ValidationError("the moves' rosters must ascend")
-        src = self.team_of[rosters, students]
-        bad = (src == dests) >= self.active[rosters, dests]  # stays or dead
-        if bad.any():
-            raise ValidationError(
-                f"team {dests[bad.argmax()]} is not another active team")
-        return src
-
-    def _check_one(self, student: int, dest: int, roster: int) -> int:
-        """The move's source team; raises as _check_move would."""
+    def _check_move(self, student: int, dest: int, roster: int) -> int:
+        """The move's source team; raises unless the move is a valid one."""
         if not (0 <= roster < len(self.instances) and 0 <= student < self.n):
             raise ValidationError(f"no student {student} in roster {roster}")
         src = int(self.team_of[roster, student])
@@ -374,90 +357,24 @@ class SolverState:
 
     def gain(self, student: int, dest: int, roster: int = 0) -> float:
         """Single-move gain: gain_matrix with every other student locked."""
-        self._check_one(student, dest, roster)
+        self._check_move(student, dest, roster)
         locked = np.ones(self.team_of.shape, dtype=bool)
         locked[roster, student] = False
         return float(self.gain_matrix(locked)[0, 0, dest])
 
-    def apply(self, students, dests, rosters=0):
-        """Move each given roster's student to dest (scalars for one move;
-        rosters ascending), update the accumulators, and queue the refresh
-        of each move's two columns and two teams' rows for the next read.
-        One move takes _apply_one's scalar path, whose numpy calls are a
-        third of this path's; both give the same bits."""
-        moves = np.array((students, dests, rosters), np.int64).reshape(3, -1)
-        if moves.shape[1] == 1:
-            return self._apply_one(*moves[:, 0].tolist())
-        src, count = self._check_move(moves), moves.shape[1]
-        (r, n), m, s = self.team_of.shape, self.m, self.sizes.shape[1]
-        # every src, then every dest: the mover, slot and roster, their flat
-        # forms, and -1 or +1 for the mover leaving or joining
-        students, slots, rosters = both = np.concatenate((moves, moves), 1)
-        slots[:count] = src
-        pair, x, cell = self._flat @ both
-        sign = np.repeat(np.array([-1, 1], dtype=np.int8), count)
-        sizes, active = self.sizes.reshape(-1), self.active.reshape(-1)
-
-        # a - b is a + (-b), so these keep the bits of -= and +=
-        np.add.at(self.sums, (slice(None), pair),
-                  self._skills.take(x, 1) * sign)
-        np.add.at(sizes, pair, sign)
-        size = sizes.take(pair)
-        if not size[:count].all():  # emptied teams
-            gone = pair[:count][size[:count] == 0]
-            active[gone] = False
-            self.n_active[gone // s] -= 1
-            self.sums[:, gone] = 0.0
-        old = self.defic.take(pair)  # both teams' deficiency, from the sums
-        self.defic.reshape(-1)[pair] = new = _deficiency(
-            self.sums[:, pair], self.spec.requirements) * active[pair]
-        self.defic_total[moves[2]] = (self.defic_total.take(moves[2]) - (
-            old[:count] + old[count:])) + (new[:count] + new[count:])
-
-        # integer counts, so these updates are exact in any order
-        groups, own = self.groups.take(x), self.benefit_to_team.reshape(
-            m, -1).take(cell, 1)
-        own[groups, np.arange(2 * count)] += self.benefit_vs_team.take(cell)
-        np.add.at(self.own_by_group, (slice(None), pair), own * sign)
-        self.benefit_vs_team.reshape(r, n, s)[rosters, :, slots] += \
-            self.b[rosters, :, students] * sign[:, None]
-        self.benefit_to_team.reshape(m, r, n, s)[groups, rosters, :, slots] \
-            += self.b[rosters, students] * sign[:, None]
-        self.team_of[moves[2], moves[0]] = moves[1]
-
-        # both teams' members: one segment per entry of pair, each roster's
-        # src then dest, each in ascending order
-        segment, rows = (self.team_of.take(rosters, 0)
-                         == slots[:, None]).nonzero()
-        rows += (x - students).take(segment)
-        ind = self.benefit_vs_team[rows, slots.take(segment)] / np.maximum(
-            size - 1, 1.0).take(segment)
-        delta = ind - self.ind.take(rows)
-        self.ind[rows] = ind
-        # each segment's sum in numpy's order. Fewer than 8 terms add in
-        # turn, so zeros after them change no bits and such segments share
-        # width 7; from 8 on, the pairwise grouping follows the count
-        width, padded = np.maximum(size, 7.0), np.zeros((2 * count, n))
-        padded[np.arange(n) < size[:, None]] = delta  # row-major: in order
-        for length in set(width.tolist()):
-            of = width == length
-            size[of] = padded[of, :int(length)].sum(axis=1)  # now the sums
-        self.ind_total[moves[2]] = (self.ind_total.take(moves[2])
-                                    + size[:count]) + size[count:]
-        np.add.at(self.group_sums.reshape(-1), self._group_at.take(rows),
-                  delta)
-        self._pending.append((rows, pair))
-
-    def _apply_one(self, student: int, dest: int, roster: int):
-        """apply for one move, through the roster's own views."""
-        src = self._check_one(student, dest, roster)
+    def apply(self, student: int, dest: int, roster: int = 0):
+        """Move the roster's student, update the accumulators, and queue the
+        refresh of two columns and two teams' rows for the next read."""
+        src = self._check_move(student, dest, roster)
         n, s = self.n, self.sizes.shape[1]
+        # this roster's students and slots on the flat axes, and its views
         at, mine, theirs = roster * s, slice(roster * s, roster * s + s), \
             slice(roster * n, roster * n + n)
         g, pair = int(self.groups[roster * n + student]), np.array([src, dest])
         sums, skill = self.sums[:, mine], self._skills[:, roster * n + student]
         sizes, team = self.sizes[roster], self.team_of[roster]
         active, defic = self.active[roster], self.defic[roster]
+
         sums[:, src] -= skill
         sums[:, dest] += skill
         sizes[src] -= 1
@@ -466,17 +383,22 @@ class SolverState:
             active[src] = False
             self.n_active[roster] -= 1
             sums[:, src] = 0.0
+        # both teams' new deficiency, from the new sums while a refresh of
+        # this roster waits
         self.defic_total[roster] -= defic[src] + defic[dest]
-        if self._pending:  # from the new sums; else the caches are fresh
-            defic[pair] = _deficiency(sums[:, pair],
-                                      self.spec.requirements) * active[pair]
+        if roster in self._stale:
+            defic[pair] = _deficiency(
+                sums[:, pair], self.spec.requirements) * active[pair]
         else:
-            defic[src] = self._def_src_new[roster * n + student]
-            defic[dest] = self._def_dest_new[roster * n + student, dest]
+            defic[src] = self._def_src_new[theirs][student]
+            defic[dest] = self._def_dest_new[theirs][student, dest]
         self.defic_total[roster] += defic[src] + defic[dest]
+        self._stale.add(roster)
+
+        # integer counts, so these updates are exact
         own, b = self.own_by_group[:, mine], self.b[roster]
-        vs_team, to_team = self.benefit_vs_team[theirs], \
-            self.benefit_to_team[:, theirs]
+        vs_team = self.benefit_vs_team[theirs]
+        to_team = self.benefit_to_team[:, theirs]
         own[:, src] -= to_team[:, student, src]
         own[g, src] -= vs_team[student, src]
         own[:, dest] += to_team[:, student, dest]
@@ -486,11 +408,14 @@ class SolverState:
         to_team[g, :, src] -= b[student]
         to_team[g, :, dest] += b[student]
         team[student] = dest
+
         # both teams' members, src's first, each in ascending order
         left = (team == src).nonzero()[0]
         rows = np.concatenate((left, (team == dest).nonzero()[0]))
         slots = team.take(rows)
-        ind = vs_team[rows, slots] / np.maximum(sizes.take(slots) - 1, 1.0)
+        n_team = sizes.take(slots)
+        own = vs_team[rows, slots]
+        ind = own / np.maximum(n_team - 1, 1.0)
         delta = ind - self.ind[theirs].take(rows)
         self.ind[theirs][rows] = ind
         self.ind_total[roster] += float(np.add.reduce(delta[:left.size]))
@@ -527,7 +452,8 @@ def _merge_singletons(state: SolverState, merging: np.ndarray) -> np.ndarray:
         locked = np.ones(state.team_of.shape, dtype=bool)
         locked[rosters, students] = False
         rosters, students, dests, _ = _best_moves(state, locked)
-        state.apply(students, dests, rosters)
+        for move in zip(students.tolist(), dests.tolist(), rosters.tolist()):
+            state.apply(*move)
         changed[rosters] = True
 
 
@@ -547,10 +473,11 @@ def _refine(instances, spec: TaskSpec, b, initial, step) -> list[Assignment]:
             labels[1, students] = dests
             f = objective_batch(state.instances[roster], spec,
                                 state.b[roster], labels).f
-            lengths[roster] *= f[1] < f[0]
-        for at in range(lengths.max()):
-            go = np.flatnonzero(lengths > at)
-            state.apply(moves[0, go, at], moves[1, go, at], go)
+            if f[1] < f[0]:
+                for student, dest in zip(students.tolist(), dests.tolist()):
+                    state.apply(student, dest, roster)
+            else:
+                lengths[roster] = 0
         climbing = (lengths > 0) | _merge_singletons(state,
                                                      climbing & (lengths == 0))
     return state.assignments()
@@ -594,7 +521,8 @@ def _fmhc_pass(state: SolverState, climbing: np.ndarray,
             rosters, students, dests, gain = (
                 part[~ended] for part in (rosters, students, dests, gain))
         locked[rosters, students] = True
-        work.apply(students, dests, rosters)
+        for move in zip(students.tolist(), dests.tolist(), rosters.tolist()):
+            work.apply(*move)
         moves[:, rosters, i], gains[rosters, i] = (students, dests), gain
         i += 1
     # padded zeros repeat a total: the first maximum is the shortest prefix

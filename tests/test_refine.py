@@ -187,23 +187,7 @@ class TestMoveCheck:
             state.gain(student, dest, roster)
         with pytest.raises(ValidationError):
             state.apply(student, dest, roster)
-        # and beside a valid move of the other roster, in one call
-        valid = (3, 3, 1) if roster < 1 else (0, 3, 0)
-        pair = sorted([(student, dest, roster), valid], key=lambda m: m[2])
-        with pytest.raises(ValidationError):
-            state.apply(*np.array(pair).T)
         assert [getattr(state, name).tobytes() for name in names] == before
-
-    @pytest.mark.parametrize("rosters", [[0, 0], [1, 0]],
-                             ids=["repeated", "descending"])
-    def test_apply_rejects_rosters_out_of_order(self, rosters):
-        # one call makes one move per roster, rosters ascending; each move
-        # alone is valid, and a rejected call changes nothing
-        state = self._state()
-        before = state.team_of.tobytes(), state.sums.tobytes()
-        with pytest.raises(ValidationError, match="ascend"):
-            state.apply([0, 3], [3, 3], rosters)
-        assert (state.team_of.tobytes(), state.sums.tobytes()) == before
 
     def test_rejects_an_assignment_of_another_size(self):
         inst = make_random_instance(np.random.default_rng(31), n=12)
@@ -808,33 +792,6 @@ class TestLockstep:
         batch = fmhc(insts, spec, bs, starts)
         assert [a.team_of.tobytes() for a in batch] == \
             [a.team_of.tobytes() for a in singles]
-
-    def test_apply_sums_each_team_in_numpys_order(self):
-        # one call moves a student in each of three rosters, with teams of
-        # about 25, 17 and 5; each ind_total adds np.add.reduce of its src
-        # team's changes, then of its dest team's, as a lone apply did
-        rng = np.random.default_rng(43)
-        insts = [make_random_instance(rng, n=50, k=2, m=2) for _ in range(3)]
-        bs = [compute_benefit_matrix(inst, 0.0) for inst in insts]
-        starts = [random_partition(rng, 50, teams) for teams in (2, 3, 9)]
-        state = SolverState.from_assignment(
-            insts, TaskSpec(requirements=[2.7, 1.9]), bs, starts)
-        for _ in range(20):
-            moves = []  # (student, dest, roster)
-            for r in range(3):
-                student = int(rng.integers(50))
-                dests = np.flatnonzero(state.active[r])
-                dests = dests[dests != state.team_of[r, student]]
-                if dests.size:
-                    moves.append((student, int(rng.choice(dests)), r))
-            srcs = [int(state.team_of[r, student]) for student, _, r in moves]
-            ind, want = state.ind.copy(), state.ind_total.copy()
-            state.apply(*np.array(moves).T)
-            for (_, dest, r), src in zip(moves, srcs):
-                for slot in (src, dest):
-                    rows = 50 * r + np.flatnonzero(state.team_of[r] == slot)
-                    want[r] += np.add.reduce(state.ind[rows] - ind[rows])
-            assert state.ind_total.tobytes() == want.tobytes()
 
     def test_rosters_of_different_sizes_are_rejected(self):
         spec = TaskSpec(requirements=[2.0, 2.0])
