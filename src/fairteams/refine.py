@@ -57,6 +57,11 @@ from .errors import ValidationError
 # tentative clone and a few cache-sized temporaries, so this bounds memory.
 _BATCH_BYTES = 1 << 19
 
+# dtype of the team counts benefit_vs_team and benefit_to_team: each is at
+# most N, so int16 holds a roster of up to 32767 students (its b alone is
+# 1 GiB), at half the bytes of int32
+_COUNT = np.int16
+
 
 @dataclass(frozen=True)
 class RefineConfig:
@@ -135,6 +140,9 @@ class SolverState:
             raise ValidationError("the rosters of one state must share their "
                                   "size, group count and skill count")
         check_spec(self.instances[0], spec)
+        if n > np.iinfo(_COUNT).max:
+            raise ValidationError(f"a roster of {n} students is too large: "
+                                  f"at most {np.iinfo(_COUNT).max}")
         r = len(self.instances)
         if len(team_of) != r or any(np.shape(t) != (n,) for t in team_of):
             raise ValidationError("assignment size does not match the roster")
@@ -171,13 +179,13 @@ class SolverState:
         slot, group = np.divmod(key.take(order.take(runs)), m)
         first = np.flatnonzero(np.diff(slot, prepend=-1))  # each slot's
         mates, (roster, slot) = np.divmod(order, n), np.divmod(slot, s)
-        self.benefit_vs_team = np.zeros((r * n, s), dtype=np.int32)
+        self.benefit_vs_team = np.zeros((r * n, s), dtype=_COUNT)
         self.benefit_vs_team.reshape(r, n, s)[roster[first], :, slot[
             first]] = np.add.reduceat(self.b[mates[0], :, mates[1]],
-                                      runs[first], dtype=np.int32)
-        self.benefit_to_team = np.zeros((m, r * n, s), dtype=np.int32)
+                                      runs[first], dtype=_COUNT)
+        self.benefit_to_team = np.zeros((m, r * n, s), dtype=_COUNT)
         self.benefit_to_team.reshape(m, r, n, s)[group, roster, :, slot] = \
-            np.add.reduceat(self.b[mates], runs, dtype=np.int32)
+            np.add.reduceat(self.b[mates], runs, dtype=_COUNT)
         rows, n_team = np.arange(r * n), self.sizes.take(slot_at)
         own = self.benefit_vs_team[rows, self.team_of.ravel()]
         # share of teammates each benefits from (own is 0 for a lone one)

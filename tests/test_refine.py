@@ -198,6 +198,15 @@ class TestMoveCheck:
         with pytest.raises(ValidationError, match="assignment size"):
             SolverState([inst], spec, [b], [np.zeros(12, np.int64)] * 2, [1])
 
+    def test_rejects_a_roster_whose_counts_overflow_int16(self):
+        # a team count is at most N, and counts are int16; the check comes
+        # before b is read, so none is built here
+        n = 1 << 15
+        inst = make_instance(np.zeros((n, 1)), np.arange(n) % 2)
+        with pytest.raises(ValidationError, match="32768 students is too"):
+            SolverState([inst], TaskSpec(requirements=[1.0]), None,
+                        [np.zeros(n, np.int64)], [1])
+
 
 @pytest.mark.parametrize("refiner", [fmhc, sahc, postprocess])
 def test_refiners_reject_an_assignment_of_another_size(refiner):
