@@ -57,9 +57,7 @@ from .errors import ValidationError
 # tentative clone and a few cache-sized temporaries, so this bounds memory.
 _BATCH_BYTES = 1 << 19
 
-# dtype of the team counts benefit_vs_team and benefit_to_team: each is at
-# most N, so int16 holds a roster of up to 32767 students (its b alone is
-# 1 GiB), at half the bytes of int32
+# dtype of the team counts, each at most N: up to 32767 students a roster
 _COUNT = np.int16
 
 
