@@ -57,7 +57,7 @@ from .errors import ValidationError
 # tentative clone and a few cache-sized temporaries, so this bounds memory.
 _BATCH_BYTES = 1 << 19
 
-# dtype of the team counts, each at most N: up to 32767 students a roster
+# team counts are at most N: int16 holds rosters of up to 32767 students
 _COUNT = np.int16
 
 
