@@ -8,6 +8,7 @@ in context.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,57 +132,63 @@ class GAParams:
 
 def _breeding_draws(rng: np.random.Generator, params: GAParams, n: int):
     """One generation's draws (see genetic_algorithm) from one block of raw
-    words: entrants (children, 2, tournament_size), coins (children, n + 1)
-    and a (child, a, b) row per swap, leaving the generator as they would."""
+    words, leaving the generator as the calls would: entrants (children, 2,
+    tournament_size), crossover mask (children, n), (child, a, b) swaps."""
     pop_size, tour = params.population_size, params.tournament_size
     n_children = pop_size - params.elite_count
-    # a coin is (w >> 11) * 2**-53, below mutation_prob iff w < low_coin
-    low_coin = math.ceil(params.mutation_prob * 2.0**53) << 11
+    # a coin (w >> 11) * 2**-53 is below p iff w < ceil(p * 2**53) << 11
+    low_coin, cross_coin = (math.ceil(p * 2.0**53) << 11 for p in
+                            (params.mutation_prob, params.crossover_prob))
+    # 32-bit draws on [0, r): a child's tournaments', after a low last coin
+    # Floyd's on [0, n - 1) (none if n = 2), [0, n) and a swap on 0 of [0, 2)
+    ranges = np.array([pop_size] * 2 * tour + [n - 1, n, 2], dtype=np.uint64)
     bitgen = rng.bit_generator
-    start = bitgen.state
-    # word 0's high half is the buffered half, words 1.. are fresh (enough
-    # unless draws are rejected); a 32-bit draw takes a fresh word's low
-    # half and buffers its high half
-    block = np.append(np.uint64(start["uinteger"] << 32),
+    has = bitgen.state["has_uint32"]
+    # a draw takes the buffered high half or a fresh word's low half (and
+    # buffers its high half); word 0 holds the buffered one, 1.. are fresh
+    block = np.append(np.uint64(bitgen.state["uinteger"] << 32),
                       bitgen.random_raw(n_children * (tour + n + 3)))
+    rejected = []  # per rejected half, its draw's index + 1 - has
     while True:
-        hv = memoryview(block.astype("<u8", copy=False).view("<u4"))
-        p, has, half = 1, start["has_uint32"], 1  # has_uint32, uinteger
-        picks, coin_at, swaps = [], [], []
-        try:
+        try:  # which children mutate, and the fresh words before their coins
+            low = (block < low_coin).tobytes()
+            before, mutants, drawn = [], [], 1 - has
             for c in range(n_children):
-                # draws on [0, r): the tournaments', 0 for the coins, then
-                # (appended in the loop) choice's after a low last coin
-                todo, out = [pop_size] * (2 * tour) + [0], picks
-                for r in todo:
-                    if not r:
-                        coin_at.append(p)
-                        p += n + 1
-                        if block[p - 1] < low_coin:
-                            todo += (n - 1, n, 2)[n == 2:]
-                            out = [0] * (n == 2)  # j = n - 2 draws none
-                        continue
-                    while True:  # Lemire's draw; x is a fresh low half or
-                        if not has:  # the buffered high half
-                            half, p = 2 * p + 1, p + 1
-                        has = not has
-                        m = hv[half - has] * r  # x * r; the draw is m >> 32
-                        if (lo := m & 0xFFFFFFFF) >= r or lo >= (1 << 32) % r:
-                            break  # else x * r mod 2**32 < 2**32 mod r: redraw
-                    out.append(m >> 32)
-                if out is not picks:  # Floyd over j = n - 2, n - 1, then
-                    a, b, keep = out  # a draw on [0, 1] that swaps on 0
-                    b = n - 1 if b == a else b  # a repeat takes j
-                    swaps.append((c, a, b) if keep else (c, b, a))
-            break
+                drawn += 2 * tour
+                before.append((drawn + bisect_left(rejected, drawn)) // 2)
+                if low[before[-1] + (n + 1) * (c + 1)]:  # its last coin
+                    mutants.append(c)
+                    drawn += 3 - (n == 2)
+            takes = np.tile([True] * 2 * tour + [False] * 3, (n_children, 1))
+            takes[mutants, 2 * tour + (n == 2):] = True
+            r = np.broadcast_to(ranges, takes.shape)[takes]
+            # draw i reads half u: u odd is the low half of fresh word
+            # (u + 1) // 2, u even the high half of word u // 2; fresh words
+            # come after the coins of every child with fewer before them
+            u = np.arange(1 - has, r.size + 1 - has)
+            u += np.searchsorted(rejected, u, side="right")
+            at = np.arange((u[-1] + 1) // 2 + 1)
+            at += (n + 1) * np.searchsorted(before, at)
+            hv = block.astype("<u8", copy=False).view("<u4")
+            m = hv[2 * at[(u + 1) // 2] + 1 - u % 2].astype(np.uint64) * r
+            if not (bad := m % 2**32 < 2**32 % r).any():  # Lemire's redraw
+                break
+            rejected.append(int(bad.argmax()) + 1 - has)
         except IndexError:  # a read past the block: rejections ran it short
             block = np.append(block, bitgen.random_raw(len(block)))
-    # back from the block's end to word p - 1: the LCG's period is 2**128
-    state = bitgen.advance((p - len(block)) % 2**128).state
-    bitgen.state = {**state, "has_uint32": int(has), "uinteger": hv[half]}
-    return (np.array(picks).reshape(-1, 2, tour),
-            (block[np.add.outer(coin_at, np.arange(n + 1))] >> 11) * 2.0**-53,
-            np.array(swaps, dtype=np.int64).reshape(-1, 3))
+    # back from the block's end to the word after the last one read
+    end = at.size + (n + 1) * n_children - len(block)
+    bitgen.state = {**bitgen.advance(end % 2**128).state, "has_uint32":
+                    int(u[-1] % 2), "uinteger": int(hv[2 * at[-1] + 1])}
+    values = np.zeros(takes.shape, dtype=np.int64)
+    values[takes] = m >> 32
+    a, b, keep = values[mutants, 2 * tour:].T
+    b = np.where(b == a, n - 1, b)  # a repeat takes j
+    coins = np.delete(block < cross_coin, at)[:n_children * (n + 1)]
+    return (values[:, :2 * tour].reshape(-1, 2, tour),
+            coins.reshape(n_children, n + 1)[:, :n],
+            np.column_stack((np.array(mutants, dtype=np.int64),
+                             np.where(keep, a, b), np.where(keep, b, a))))
 
 
 def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
@@ -191,9 +198,10 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
 
     Chromosome: one team id per student. Uniform crossover per gene,
     mutation swaps the teams of two distinct students, tournament selection
-    (first minimum wins ties), elitism keeps the best chromosome(s) and
-    their fitness (a row scores alike in any batch). Fitness compacts empty
-    team ids, so extinct teams shrink the divisor rather than padding it.
+    (first minimum wins ties), elitism keeps the best chromosome(s). Elites
+    and children equal to a parent keep that fitness (a row scores alike in
+    any batch); the other children are scored. Fitness compacts empty team
+    ids, so extinct teams shrink the divisor rather than padding it.
 
     Draws are as if bred one child at a time (integers(0, P, size=2t),
     random(n + 1), choice(n, 2, replace=False) after a low last coin), read
@@ -206,21 +214,26 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
     rng = as_rng(rng)
     if type(rng.bit_generator).__name__ not in ("PCG64", "PCG64DXSM"):
         raise ValidationError("the GA needs a PCG64 or PCG64DXSM generator")
-    pop = rng.integers(0, team_count, size=(params.population_size, n))
+    pop = rng.integers(0, team_count, size=(params.population_size, n),
+                       dtype=np.int32)  # int64's draws, in half the bytes
     fits = objective_batch(instance, spec, b, pop).f
 
     for _ in range(params.generations):
-        entrants, coins, swaps = _breeding_draws(rng, params, n)
+        entrants, crossed, swaps = _breeding_draws(rng, params, n)
         pick = np.argmin(fits[entrants], axis=2)  # the first minimum wins
         winners = np.take_along_axis(entrants, pick[..., None], axis=2)[..., 0]
-        children = np.where(coins[:, :n] < params.crossover_prob,
-                            pop[winners[:, 1]], pop[winners[:, 0]])
+        parents = pop[winners]
+        # parent 1's gene where crossed, as arithmetic: np.where branches
+        children = parents[:, 0] + (parents[:, 1] - parents[:, 0]) * crossed
         rows, pair = swaps[:, :1], swaps[:, 1:]
         children[rows, pair] = children[rows, pair[:, ::-1]]
+        same = (children[:, None] == parents).all(axis=2)
+        child_f = fits[winners[np.arange(len(same)), same.argmax(axis=1)]]
+        if (new := ~same.any(axis=1)).any():
+            child_f[new] = objective_batch(instance, spec, b, children[new]).f
         elite_idx = np.argsort(fits, kind="stable")[:params.elite_count]
         pop = np.concatenate((pop[elite_idx], children))
-        fits = np.concatenate(
-            (fits[elite_idx], objective_batch(instance, spec, b, children).f))
+        fits = np.concatenate((fits[elite_idx], child_f))
 
     best = int(np.argmin(fits))
     return compact_assignment(pop[best])

@@ -297,6 +297,8 @@ def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
         raise ValidationError("assignment size does not match the roster")
     if not labels.shape[0]:
         raise ValidationError("no assignment to score")
+    if np.shape(b) != (instance.n,) * 2 or np.result_type(b).kind not in "biu":
+        raise ValidationError("b must be an (N, N) integer benefit matrix")
     check_spec(instance, spec)
     team_of, n_teams = _compact_rows(labels)
     width, k = int(n_teams.max()), instance.k

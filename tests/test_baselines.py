@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import oracle
-from fairteams.core import TaskSpec, compute_benefit_matrix, make_instance
+from fairteams import baselines
+from fairteams.core import (TaskSpec, compute_benefit_matrix, make_instance,
+                            objective_batch)
 from fairteams.datagen import generate_dataset, preset_config
 from fairteams.errors import ValidationError
 from fairteams.initial import gmbf, random_init
@@ -198,14 +200,24 @@ class TestGeneticAlgorithm:
         c = genetic_algorithm(inst, spec, b, 3, params=params, rng=9)
         assert np.array_equal(a.team_of, c.team_of)
 
-    def test_single_team_fixed_point(self):
+    def test_single_team_fixed_point(self, monkeypatch):
         # With team_count=1 every chromosome is all zeros; no operator can
-        # introduce another label, so the output is one team.
+        # introduce another label, so the output is one team. Every child
+        # is then a copy of its parents and keeps their fitness, so only
+        # the initial population is scored.
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return objective_batch(*args)
+
+        monkeypatch.setattr(baselines, "objective_batch", counted)
         rng = np.random.default_rng(45)
         inst, spec, b = self._setup(rng, n=10)
         params = GAParams(population_size=10, generations=5)
         out = genetic_algorithm(inst, spec, b, 1, params=params, rng=0)
         assert out.team_of.tolist() == [0] * 10
+        assert calls == [10]
 
     def test_elitism_never_loses_the_initial_best(self):
         rng = np.random.default_rng(46)
@@ -408,9 +420,11 @@ def _assert_same_draws(bit_generator, seed, params, n, buffered=False):
         want_rng.integers(0, 5)
         got_rng.integers(0, 5)
     assert got_rng.bit_generator.state["has_uint32"] == buffered
-    want = _per_child_draws(want_rng, params, n)
+    entrants, coins, swaps = _per_child_draws(want_rng, params, n)
+    # the GA reads the first n coins only as the crossover mask
+    want = entrants, coins[:, :n] < params.crossover_prob, swaps
     got = _breeding_draws(got_rng, params, n)
-    for name, w, g in zip(("entrants", "coins", "swaps"), want, got):
+    for name, w, g in zip(("entrants", "crossed", "swaps"), want, got):
         assert g.dtype == w.dtype, name
         np.testing.assert_array_equal(g, w, err_msg=name)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -1,9 +1,10 @@
 """The benchmark's tracer and pass counter still hook into the package.
 
 bench/tracer.py wraps package functions such as harness.write_metrics_csv
-and SolverState.__init__, apply, clone, gain and gain_matrix by name, and
-hands fmhc a stats dict; a refactor that drops one of these fails here
-instead of only in the benchmark's own, slower suite.
+and SolverState.__init__, apply, clone, gain and gain_matrix by name, binds
+genetic_algorithm's arguments to its signature, and hands fmhc a stats
+dict; a refactor that breaks one of these fails here instead of only in
+the benchmark's own, slower suite.
 """
 
 import importlib.util
@@ -86,3 +87,20 @@ def test_tracer_hooks_an_experiment(tmp_path, capsys):
     assert status == 0
     assert {"harness.write_metrics_csv", "harness.solve_instance",
             "baselines.uniform_kmeans"} <= spans
+
+
+def test_tracer_counts_the_evaluations_of_a_ga_solve(tmp_path, capsys):
+    # ga_n100 reads this counter; the tracer finds the GA's params by
+    # binding its arguments to genetic_algorithm's signature
+    roster = str(tmp_path / "roster.csv")
+    assert cli.main(["generate", "--preset", "d3", "--n", "40",
+                     "--out", roster]) == 0
+    status, spans, _, counts = _traced(
+        ["solve", "--method", "ga", "--roster", roster,
+         "--assignment-out", str(tmp_path / "teams.csv")])
+    capsys.readouterr()
+    assert status == 0
+    assert "baselines.genetic_algorithm" in spans
+    # population_size * (generations + 1) at the default GAParams: the
+    # chromosomes bred, not the rows the GA scores
+    assert counts["baselines.ga.evals"] == 200 * 301

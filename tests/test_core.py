@@ -483,6 +483,21 @@ class TestObjectiveBatch:
             objective_batch(inst, TaskSpec(requirements=np.ones(inst.k)), b,
                             labels)
 
+    @pytest.mark.parametrize("reshape", [
+        lambda b: np.pad(b, ((0, 0), (0, 1))),
+        lambda b: np.pad(b, ((0, 1), (0, 1))),
+        lambda b: b[:11, :11],
+        lambda b: b.astype(np.float64),
+        lambda b: b.ravel(),
+    ], ids=["12x13", "13x13", "11x11", "float", "1-d"])
+    def test_rejects_a_benefit_matrix_of_another_shape_or_dtype(
+            self, reshape):
+        inst = make_random_instance(np.random.default_rng(20), n=12)
+        b = reshape(compute_benefit_matrix(inst, 0.0))
+        with pytest.raises(ValidationError, match="benefit matrix"):
+            objective(inst, TaskSpec(requirements=np.ones(inst.k)),
+                      compact_assignment(np.arange(12) % 3), b=b)
+
     def test_rejects_zero_rows(self):
         # an integer (0, N) batch used to reach numpy's zero-size reduction
         inst = make_random_instance(np.random.default_rng(19), n=12)
