@@ -9,9 +9,9 @@ generator support head-to-head evaluation.
 """
 
 from .baselines import GAParams, genetic_algorithm, uniform_kmeans
-from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
-                   compact_assignment, compute_benefit_matrix, make_instance,
-                   objective, objective_batch)
+from .core import (Assignment, Instance, ObjectiveBreakdown, Scorer,
+                   TaskSpec, compact_assignment, compute_benefit_matrix,
+                   make_instance, objective, objective_batch)
 from .datagen import (DatasetConfig, GroupGenSpec, bucket_distribution,
                       generate_dataset, generate_group, load_instance,
                       preset_config, save_roster)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "DatasetConfig", "ExperimentConfig", "ExperimentResult",
     "GAParams", "GroupGenSpec", "Instance", "MetricsRecord",
-    "ObjectiveBreakdown", "RefineConfig", "RunFailure",
+    "ObjectiveBreakdown", "RefineConfig", "RunFailure", "Scorer",
     "SolverState", "TaskSpec", "ValidationError",
     "bucket_distribution", "compact_assignment", "compute_benefit_matrix",
     "default_spec", "evaluate_solution", "fmhc", "generate_dataset",

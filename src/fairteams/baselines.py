@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Assignment, Instance, TaskSpec, compact_assignment,
-                   objective_batch)
+from .core import Assignment, Instance, Scorer, TaskSpec, compact_assignment
 from .errors import ValidationError
 from .rng import as_rng
 
@@ -143,11 +142,11 @@ def _breeding_draws(rng: np.random.Generator, params: GAParams, n: int):
     # Floyd's on [0, n - 1) (none if n = 2), [0, n) and a swap on 0 of [0, 2)
     ranges = np.array([pop_size] * 2 * tour + [n - 1, n, 2], dtype=np.uint64)
     bitgen = rng.bit_generator
-    has = bitgen.state["has_uint32"]
+    has, buffered = (bitgen.state[key] for key in ("has_uint32", "uinteger"))
     # a draw takes the buffered high half or a fresh word's low half (and
-    # buffers its high half); word 0 holds the buffered one, 1.. are fresh
-    block = np.append(np.uint64(bitgen.state["uinteger"] << 32),
-                      bitgen.random_raw(n_children * (tour + n + 3)))
+    # buffers its high half); word 0 is the buffered one, read from the
+    # state and not stored, and fresh word w >= 1 is block[w - 1]
+    block = bitgen.random_raw(n_children * (tour + n + 3))
     rejected = []  # per rejected half, its draw's index + 1 - has
     while True:
         try:  # which children mutate, and the fresh words before their coins
@@ -156,7 +155,7 @@ def _breeding_draws(rng: np.random.Generator, params: GAParams, n: int):
             for c in range(n_children):
                 drawn += 2 * tour
                 before.append((drawn + bisect_left(rejected, drawn)) // 2)
-                if low[before[-1] + (n + 1) * (c + 1)]:  # its last coin
+                if low[before[-1] + (n + 1) * (c + 1) - 1]:  # its last coin
                     mutants.append(c)
                     drawn += 3 - (n == 2)
             takes = np.tile([True] * 2 * tour + [False] * 3, (n_children, 1))
@@ -170,21 +169,23 @@ def _breeding_draws(rng: np.random.Generator, params: GAParams, n: int):
             at = np.arange((u[-1] + 1) // 2 + 1)
             at += (n + 1) * np.searchsorted(before, at)
             hv = block.astype("<u8", copy=False).view("<u4")
-            m = hv[2 * at[(u + 1) // 2] + 1 - u % 2].astype(np.uint64) * r
+            m = hv[2 * at[(u + 1) // 2] - 1 - u % 2].astype(np.uint64) * r
+            if u[0] == 0:  # the buffered half: hv[-1] read the last word
+                m[0] = buffered * r[0]
             if not (bad := m % 2**32 < 2**32 % r).any():  # Lemire's redraw
                 break
             rejected.append(int(bad.argmax()) + 1 - has)
         except IndexError:  # a read past the block: rejections ran it short
             block = np.append(block, bitgen.random_raw(len(block)))
     # back from the block's end to the word after the last one read
-    end = at.size + (n + 1) * n_children - len(block)
+    end = at.size + (n + 1) * n_children - 1 - len(block)
     bitgen.state = {**bitgen.advance(end % 2**128).state, "has_uint32":
-                    int(u[-1] % 2), "uinteger": int(hv[2 * at[-1] + 1])}
+                    int(u[-1] % 2), "uinteger": int(hv[2 * at[-1] - 1])}
     values = np.zeros(takes.shape, dtype=np.int64)
     values[takes] = m >> 32
     a, b, keep = values[mutants, 2 * tour:].T
     b = np.where(b == a, n - 1, b)  # a repeat takes j
-    coins = np.delete(block < cross_coin, at)[:n_children * (n + 1)]
+    coins = np.delete(block < cross_coin, at[1:] - 1)[:n_children * (n + 1)]
     return (values[:, :2 * tour].reshape(-1, 2, tour),
             coins.reshape(n_children, n + 1)[:, :n],
             np.column_stack((np.array(mutants, dtype=np.int64),
@@ -214,25 +215,31 @@ def genetic_algorithm(instance: Instance, spec: TaskSpec, b: np.ndarray,
     rng = as_rng(rng)
     if type(rng.bit_generator).__name__ not in ("PCG64", "PCG64DXSM"):
         raise ValidationError("the GA needs a PCG64 or PCG64DXSM generator")
+    score, elite = Scorer(instance, spec, b), params.elite_count
     pop = rng.integers(0, team_count, size=(params.population_size, n),
                        dtype=np.int32)  # int64's draws, in half the bytes
-    fits = objective_batch(instance, spec, b, pop).f
+    fits = score.fitness(pop)
+    # each generation breeds into the same parents and population: arrays
+    # that one frees, glibc would trim and the next fault in again
+    parents = np.empty((len(pop) - elite, 2, n), dtype=np.int32)
 
     for _ in range(params.generations):
         entrants, crossed, swaps = _breeding_draws(rng, params, n)
         pick = np.argmin(fits[entrants], axis=2)  # the first minimum wins
         winners = np.take_along_axis(entrants, pick[..., None], axis=2)[..., 0]
-        parents = pop[winners]
+        pop.take(winners, axis=0, out=parents, mode="clip")
+        elite_idx = np.argsort(fits, kind="stable")[:elite]
+        pop[:elite] = pop[elite_idx]
         # parent 1's gene where crossed, as arithmetic: np.where branches
-        children = parents[:, 0] + (parents[:, 1] - parents[:, 0]) * crossed
+        children = np.subtract(parents[:, 1], parents[:, 0], out=pop[elite:])
+        children *= crossed
+        children += parents[:, 0]
         rows, pair = swaps[:, :1], swaps[:, 1:]
         children[rows, pair] = children[rows, pair[:, ::-1]]
         same = (children[:, None] == parents).all(axis=2)
         child_f = fits[winners[np.arange(len(same)), same.argmax(axis=1)]]
         if (new := ~same.any(axis=1)).any():
-            child_f[new] = objective_batch(instance, spec, b, children[new]).f
-        elite_idx = np.argsort(fits, kind="stable")[:params.elite_count]
-        pop = np.concatenate((pop[elite_idx], children))
+            child_f[new] = score.fitness(children[new])
         fits = np.concatenate((fits[elite_idx], child_f))
 
     best = int(np.argmin(fits))

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
 
 import numpy as np
 
-from .core import (Assignment, Instance, TaskSpec, compact_assignment,
-                   compute_benefit_matrix)
+from .core import (Assignment, Instance, TaskSpec, check_spec,
+                   compact_assignment, compute_benefit_matrix)
 from .datagen import (PRESETS, generate_dataset, load_instance, open_text,
                       preset_config, save_roster)
 from .errors import ValidationError
@@ -177,9 +176,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 
 def _build_task_spec(n: int, k: int, opts: dict) -> TaskSpec:
-    """The spec for n students with k skills. A requirement r whose squared
-    shortfall, summed over k skills and up to n teams (k*n*r^2), is not
-    finite is rejected: the objective would read inf."""
+    """The spec for n students with k skills, checked by check_spec before
+    any work starts."""
     reqs = opts["requirements"]
     if reqs is None:
         reqs = default_spec(k).requirements
@@ -190,10 +188,7 @@ def _build_task_spec(n: int, k: int, opts: dict) -> TaskSpec:
             f"expected {k} requirement values, got {len(reqs)}")
     spec = TaskSpec(reqs, gamma=opts["gamma"], delta=opts["delta"],
                     benefit_epsilon=opts["benefit_epsilon"])
-    top = float(spec.requirements.max())
-    if not math.isfinite(k * n * top * top):
-        raise ValidationError(f"requirement {top!r} is too large: "
-                              f"k*N*r^2 overflows for k={k}, N={n}")
+    check_spec(spec, n, k)
     return spec
 
 

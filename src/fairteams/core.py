@@ -16,6 +16,7 @@ scale) at the harness layer only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,11 +126,28 @@ class TaskSpec:
             object.__setattr__(self, name, value)
 
 
-def check_spec(instance: Instance, spec: TaskSpec) -> None:
-    """Raise unless spec has one requirement per skill of the roster."""
-    if spec.requirements.size != instance.k:
-        raise ValidationError(f"expected {instance.k} requirement values, "
+def check_spec(spec: TaskSpec, n: int, k: int) -> None:
+    """Raise unless spec has k requirements, and the squared shortfall of
+    the largest, summed over k skills and up to n teams, is finite."""
+    if spec.requirements.size != k:
+        raise ValidationError(f"expected {k} requirement values, "
                               f"got {spec.requirements.size}")
+    top = float(spec.requirements.max())
+    if not math.isfinite(k * n * top * top):
+        raise ValidationError(f"requirement {top!r} is too large: "
+                              f"k*N*r^2 overflows for k={k}, N={n}")
+
+
+def check_problem(instance: Instance, spec: TaskSpec, b) -> np.ndarray:
+    """b as an array, once check_spec passes for the roster and b is an
+    (N, N) 0/1 integer matrix with a zero diagonal."""
+    check_spec(spec, instance.n, instance.k)
+    b = np.asarray(b)
+    if b.shape != (instance.n,) * 2 or b.dtype.kind not in "biu" or \
+            b.min() < 0 or b.max() > 1 or b.diagonal().any():
+        raise ValidationError("b must be an (N, N) 0/1 integer benefit "
+                              "matrix with a zero diagonal")
+    return b
 
 
 @dataclass(frozen=True)
@@ -160,14 +178,22 @@ class Assignment:
         return int(self.team_of.max()) + 1
 
 
-def _compact_rows(labels) -> tuple[np.ndarray, np.ndarray]:
+def _fresh(name: str, shape, dtype=np.int64) -> np.ndarray:
+    """A new array, for scratch(name, shape, dtype) callers."""
+    return np.empty(shape, dtype)
+
+
+def _compact_rows(labels, scratch=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """Each row of labels (P, N) renumbered densely in ascending label
     order, by a running count over a table of the offsets from the row's
-    minimum, plus the team count of each row."""
+    minimum, plus the team count of each row; the arrays it fills are
+    scratch's."""
     labels = np.asarray(labels, dtype=np.int64)
     n_rows, n = labels.shape
     # int64 offsets wrap past 2**63, but their uint64 view stays exact
-    offset = labels - labels.min(axis=1, keepdims=True, initial=2**63 - 1)
+    offset = np.subtract(labels, labels.min(
+        axis=1, keepdims=True, initial=2**63 - 1), out=scratch(
+            "offset", labels.shape))
     if offset.view(np.uint64).max(initial=0) > n:
         # too wide for the table: rank values, then (row, value) pairs
         keys = np.unique(labels, return_inverse=True)[1].reshape(n_rows, n)
@@ -175,12 +201,14 @@ def _compact_rows(labels) -> tuple[np.ndarray, np.ndarray]:
         offset = np.unique(keys, return_inverse=True)[1].reshape(n_rows, n)
         offset -= offset.min(axis=1, keepdims=True)
     width = int(offset.max(initial=0)) + 1
-    cell = offset  # a fresh array, so it is shifted in place
+    cell = offset  # not labels, so it is shifted in place
     cell += np.arange(0, n_rows * width, width)[:, None]
-    present = np.zeros((n_rows, width), dtype=np.int64)
-    present.put(cell, 1)
+    present = scratch("present", (n_rows, width))
+    present.fill(0)
+    present.reshape(-1)[cell] = 1  # a third of put(cell, 1)'s time
     present.cumsum(axis=1, out=present)
-    team_of = present.take(cell)
+    # "clip" (indices are in range) writes out directly, "raise" via a copy
+    team_of = present.take(cell, mode="clip", out=scratch("team", cell.shape))
     team_of -= 1
     return team_of, present[:, -1]
 
@@ -227,55 +255,123 @@ def compute_benefit_matrix(instance: Instance, epsilon: float) -> np.ndarray:
     return b.astype(np.int8)
 
 
-# Byte budget for a block of objective_batch rows: their (team, word) masks
-# plus the words gathered per student (a block has at least one row). Kept
-# small: scratch that one call frees past glibc's trim threshold goes back to
-# the OS, and the next call faults it in again (GA generations at n=100).
+# Byte budget for a block of objective_batch rows, counted as their (team,
+# word) masks plus the words gathered per student (at least one row).
 _COMEMBER_BYTES = 1 << 16
 
 
-def _team_sums(skills: np.ndarray, team_of: np.ndarray,
-               width: int) -> np.ndarray:
-    """(P, width, k) skill totals, added in student order."""
-    n_rows, k = team_of.shape[0], skills.shape[1]
-    teams = (team_of + width * np.arange(n_rows)[:, None]).ravel()
-    sums = [np.bincount(teams, weights=column, minlength=n_rows * width)
-            for column in np.tile(skills.T, n_rows)]
-    return np.stack(sums, axis=1).reshape(n_rows, width, k)
+class Scorer:
+    """objective_batch over one (instance, spec, b) triple, checked once.
+    A call's batch-sized arrays are scratch, in buffers that grow to the
+    largest batch scored: freed, glibc would trim them and the next call
+    fault them in again (GA generations)."""
 
+    def __init__(self, instance: Instance, spec: TaskSpec, b):
+        b, n = check_problem(instance, spec, b), instance.n
+        self.instance, self.spec, self._buffers = instance, spec, {}
+        packed = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+        packed[:, :-(-n // 8)] = np.packbits(b, axis=1, bitorder="little")
+        self._rows = packed.view("<u8").T  # (words, N)
+        self._bits = np.left_shift(1, np.arange(n, dtype=np.uint64) % 64)
+        self._group_size = np.bincount(instance.groups, minlength=instance.m)
 
-def _individual_benefits(b: np.ndarray, team_of: np.ndarray) -> np.ndarray:
-    """(P, N) fraction of teammates each student benefits from, by popcount
-    of their row of b AND their team, both bit sets of 64-bit words."""
-    n_rows, n = team_of.shape
-    words, width = -(-n // 64), int(team_of.max()) + 1
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(b, axis=1, bitorder="little")
-    rows = packed.view("<u8").T  # (words, N)
-    step = min(n_rows, max(1, _COMEMBER_BYTES // (8 * words * (width + n))))
-    slots = step * width  # one (row, team) mask per slot, in every word
-    row_base = np.arange(0, slots, width)[:, None]
-    word_base = np.arange(n) // 64 * slots
-    bits = np.tile(np.left_shift(1, np.arange(n, dtype=np.uint64) % 64), step)
-    out = np.zeros((n_rows, n))
-    for lo in range(0, n_rows, step):
-        team = team_of[lo:lo + step] + row_base[:n_rows - lo]
-        masks = np.zeros(words * slots, dtype=np.uint64)
-        # distinct bits add as OR; 1-d, as add.at misreads broadcast values
-        np.add.at(masks, (team + word_base).ravel(), bits[:team.size])
-        mine = masks.reshape(words, slots).take(team, axis=1) & rows[:, None]
-        mates = np.bincount(team.ravel(), minlength=slots).take(team) - 1
-        np.divide(np.bitwise_count(mine).sum(axis=0), mates,
-                  out=out[lo:lo + step], where=mates > 0)
-    return out
+    def __call__(self, labels) -> ObjectiveBreakdown:
+        """objective_batch(instance, spec, b, labels), in new arrays."""
+        return self._score(labels, _fresh)
 
+    def fitness(self, labels) -> np.ndarray:
+        """The f of __call__(labels), with every other array scratch."""
+        return self._score(labels, self._scratch).f
 
-def _group_benefits(ind: np.ndarray, instance: Instance) -> np.ndarray:
-    """(P, m) mean individual benefit per group, added in student order."""
-    m = instance.m
-    bins = (instance.groups + m * np.arange(ind.shape[0])[:, None]).ravel()
-    sums = np.bincount(bins, weights=ind.ravel(), minlength=ind.shape[0] * m)
-    return sums.reshape(-1, m) / np.bincount(instance.groups, minlength=m)
+    def _scratch(self, name: str, shape, dtype=np.int64) -> np.ndarray:
+        """An array over buffer name, grown to the most bytes asked of it."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype=np.uint8)
+        return np.ndarray(shape, dtype, buffer)
+
+    def _score(self, labels, keep) -> ObjectiveBreakdown:
+        """The breakdown, its team sums and benefits keep(name, shape)'s."""
+        instance, spec, k = self.instance, self.spec, self.instance.k
+        try:
+            labels = np.asarray(labels)
+        except ValueError:  # ragged rows
+            labels = np.empty(0)
+        if labels.ndim != 2 or labels.shape[1] != instance.n or \
+                labels.dtype.kind not in "iu":
+            raise ValidationError("assignment size does not match the roster")
+        if not labels.shape[0]:
+            raise ValidationError("no assignment to score")
+        if labels.dtype != np.int64:  # int64 labels are read in place
+            labels = np.positive(labels, casting="unsafe", out=self._scratch(
+                "labels", labels.shape))
+        slot_of, n_teams = _compact_rows(labels, self._scratch)
+        n_rows, width = labels.shape[0], int(n_teams.max())
+        slot_of += np.arange(0, n_rows * width, width)[:, None]  # (row, team)
+        # skill totals, added in student order as bincount would
+        sums = keep("sums", (n_rows, width, k), float)
+        sums.fill(0.0)
+        weights = self._scratch("offset", labels.shape, float)
+        for skill, total in zip(instance.skills.T, sums.reshape(-1, k).T):
+            weights[...] = skill  # add.at misreads broadcast values
+            np.add.at(total, slot_of.reshape(-1), weights.reshape(-1))
+        squares = np.subtract(spec.requirements, sums,
+                              out=self._scratch("offset", sums.shape, float))
+        np.square(np.maximum(squares, 0.0, out=squares), out=squares)
+        x, flat = np.empty(n_rows), squares.reshape(n_rows, -1)
+        for count in set(n_teams.tolist()):
+            rows = np.flatnonzero(n_teams == count)
+            picked = flat.take(rows, axis=0, mode="clip", out=self._scratch(
+                "masks", (rows.size, flat.shape[1]), float))  # free till then
+            # exactly L * k terms per row: padding would regroup numpy's
+            # pairwise sum and change the last bits
+            x[rows] = picked[:, :count * k].sum(axis=1) / (count * k)
+        ind = self._individual_benefits(slot_of, width, keep)
+        # mean individual benefit per group, added in student order; bins in
+        # two steps, as np.add(groups, column) takes twice the iterator buffer
+        bins = self._scratch("offset", labels.shape)
+        bins[...] = instance.groups
+        bins += instance.m * np.arange(n_rows)[:, None]
+        gben = np.bincount(bins.ravel(), weights=ind.ravel(), minlength=n_rows
+                           * instance.m).reshape(n_rows, -1) / self._group_size
+        y, z = ind.mean(axis=1), gben.var(axis=1)
+        return ObjectiveBreakdown(x=x, y=y, z=z,
+                                  f=x - spec.gamma * y + spec.delta * z,
+                                  team_sums=sums, group_benefits=gben,
+                                  individual=ind)
+
+    def _individual_benefits(self, slot_of, width, keep) -> np.ndarray:
+        """(P, N) fraction of teammates each student benefits from, by
+        popcount of their row of b AND their team, both bit sets of 64-bit
+        words; slot_of holds each student's (row, team) slot."""
+        (n_rows, n), words = slot_of.shape, self._rows.shape[0]
+        slots = n_rows * width  # one (row, team) mask per slot, in every word
+        masks = self._scratch("masks", (words, slots), np.uint64)
+        masks.fill(0)
+        # teammates, at least 1: a singleton counts 0 (b's diagonal is 0)
+        mates = np.bincount(slot_of.ravel(), minlength=slots).take(
+            slot_of, mode="clip", out=self._scratch("offset", slot_of.shape))
+        mates -= 1
+        np.maximum(mates, 1, out=mates)
+        step = min(n_rows, max(1, _COMEMBER_BYTES // (8 * words
+                                                      * (width + n))))
+        word_base, bits = np.arange(n) // 64 * slots, np.tile(self._bits, step)
+        out = keep("individual", (n_rows, n), float)
+        for lo in range(0, n_rows, step):
+            team = slot_of[lo:lo + step]
+            at = np.add(team, word_base, out=self._scratch("at", team.shape))
+            # distinct bits add as OR
+            np.add.at(masks.reshape(-1), at.reshape(-1), bits[:team.size])
+            mine = masks.take(team, axis=1, mode="clip", out=self._scratch(
+                "mine", (words,) + team.shape, np.uint64))
+            mine &= self._rows[:, None]
+            # at is read: its buffer is free for the counts
+            counts = np.bitwise_count(mine, out=mine).sum(axis=0, out=at.view(
+                np.uint64))
+            np.divide(counts, mates[lo:lo + step], out=out[lo:lo + step])
+        return out
 
 
 def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
@@ -286,38 +382,9 @@ def objective_batch(instance: Instance, spec: TaskSpec, b: np.ndarray,
     drop out of the team count. The fields of the result are (P,) arrays,
     and row p matches objective() on that assignment bit for bit, whatever
     else is in the batch. b must be the 0/1 benefit matrix for (instance,
-    spec.benefit_epsilon).
+    spec.benefit_epsilon). A Scorer scores many batches of one triple.
     """
-    try:
-        labels = np.asarray(labels)
-    except ValueError:  # ragged rows
-        labels = np.empty(0)
-    if labels.ndim != 2 or labels.shape[1] != instance.n or \
-            labels.dtype.kind not in "iu":
-        raise ValidationError("assignment size does not match the roster")
-    if not labels.shape[0]:
-        raise ValidationError("no assignment to score")
-    if np.shape(b) != (instance.n,) * 2 or np.result_type(b).kind not in "biu":
-        raise ValidationError("b must be an (N, N) integer benefit matrix")
-    check_spec(instance, spec)
-    team_of, n_teams = _compact_rows(labels)
-    width, k = int(n_teams.max()), instance.k
-    sums = _team_sums(instance.skills, team_of, width)
-    squares = np.maximum(spec.requirements - sums, 0.0) ** 2
-    x = np.empty(n_teams.shape)
-    for count in set(n_teams.tolist()):
-        rows = n_teams == count
-        # exactly L * k terms per row: padding would regroup numpy's
-        # pairwise sum and change the last bits
-        flat = squares[rows, :count].reshape(-1, count * k)
-        x[rows] = flat.sum(axis=1) / (count * k)
-    ind = _individual_benefits(b, team_of)
-    gben = _group_benefits(ind, instance)
-    y, z = ind.mean(axis=1), gben.var(axis=1)
-    return ObjectiveBreakdown(x=x, y=y, z=z,
-                              f=x - spec.gamma * y + spec.delta * z,
-                              team_sums=sums, group_benefits=gben,
-                              individual=ind)
+    return Scorer(instance, spec, b)(labels)
 
 
 def objective(instance: Instance, spec: TaskSpec, assignment: Assignment,

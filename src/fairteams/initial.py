@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Assignment, Instance, TaskSpec, check_spec
+from .core import Assignment, Instance, TaskSpec, check_problem
 from .errors import ValidationError
 from .rng import as_rng
 
@@ -31,7 +31,7 @@ def gmbf(instance: Instance, spec: TaskSpec, b: np.ndarray) -> Assignment:
     were one big team). Since that score never changes, the pick order is a
     single static sort.
     """
-    check_spec(instance, spec)
+    b = check_problem(instance, spec, b)
     row_sums = b.sum(axis=1)
     order = np.lexsort((np.arange(instance.n), -row_sums))
 
@@ -71,7 +71,7 @@ def lmbff(instance: Instance, spec: TaskSpec, b: np.ndarray) -> Assignment:
     is the candidate benefiting from the most team members: that is lmbf.
     Groups with no placed member yet stay out of the variance.
     """
-    check_spec(instance, spec)
+    b = check_problem(instance, spec, b)
     n, m = instance.n, instance.m
     gamma, delta = spec.gamma, spec.delta
     unassigned = np.ones(n, dtype=bool)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Assignment, Instance, ObjectiveBreakdown, TaskSpec,
-                   check_spec, compact_assignment, objective_batch)
+                   check_problem, compact_assignment, objective_batch)
 from .errors import ValidationError
 
 
@@ -137,14 +137,14 @@ class SolverState:
         if any((i.n, i.m, i.k) != (n, m, k) for i in self.instances):
             raise ValidationError("the rosters of one state must share their "
                                   "size, group count and skill count")
-        check_spec(self.instances[0], spec)
         if n > np.iinfo(_COUNT).max:
             raise ValidationError(f"a roster of {n} students is too large: "
                                   f"at most {np.iinfo(_COUNT).max}")
         r = len(self.instances)
         if len(team_of) != r or any(np.shape(t) != (n,) for t in team_of):
             raise ValidationError("assignment size does not match the roster")
-        self.b = np.stack(b)
+        self.b = np.stack([check_problem(i, spec, one) for i, one in
+                           zip(self.instances, b, strict=True)])
         self.team_of = np.array(team_of, dtype=np.int64).reshape(r, n)
         self.n_slots = np.array(n_slots, dtype=np.int64).reshape(r)
         s, at = int(self.n_slots.max()), np.arange(r)[:, None]

@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,10 @@ from hypothesis import strategies as st
 from fairteams import cli, core, harness
 from fairteams.baselines import GAParams, genetic_algorithm
 from fairteams.cli import main
+from fairteams.datagen import load_instance
+from fairteams.errors import ValidationError
+from fairteams.initial import gmbf
+from fairteams.refine import fmhc
 
 QUAD_ROSTER = """student_id,group,skill_1
 a,g1,0.8
@@ -770,3 +775,36 @@ def test_solve_with_extreme_knobs_is_finite_or_one_error_line(
     else:
         assert code == 1 and len(lines) == 1, lines
         assert lines[0].startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(roster=_small_rosters(), requirements=_EXTREMES, gamma=_EXTREMES,
+       delta=_EXTREMES, benefit_epsilon=_EXTREMES)
+def test_library_entry_points_with_extreme_knobs_are_finite_or_reject(
+        roster, requirements, gamma, delta, benefit_epsilon):
+    # objective, fmhc and gmbf called directly with the extremes above:
+    # ValidationError exactly when k*N*r^2 overflows (f would read inf),
+    # and a finite f otherwise; a numpy overflow or invalid-value warning
+    # fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "roster.csv")
+        Path(path).write_text(roster)
+        instance = load_instance(path)
+    r = float(requirements)
+    spec = core.TaskSpec([r] * instance.k, gamma=float(gamma),
+                         delta=float(delta),
+                         benefit_epsilon=float(benefit_epsilon))
+    b = core.compute_benefit_matrix(instance, spec.benefit_epsilon)
+    start = core.compact_assignment(np.arange(instance.n) % 2)
+    runs = {"objective": lambda: start,
+            "gmbf": lambda: gmbf(instance, spec, b),
+            "fmhc": lambda: fmhc(instance, spec, b, start)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, run in runs.items():
+            if not math.isfinite(instance.k * instance.n * r * r):
+                with pytest.raises(ValidationError, match="overflows"):
+                    core.objective(instance, spec, run(), b=b)
+            else:
+                f = core.objective(instance, spec, run(), b=b).f
+                assert math.isfinite(f), name

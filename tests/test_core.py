@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 import oracle
 from fairteams import core
+from fairteams.baselines import GAParams, genetic_algorithm
 from fairteams.core import (Assignment, TaskSpec, compact_assignment,
                             compute_benefit_matrix, make_instance, objective,
                             objective_batch)
 from fairteams.errors import ValidationError
+from fairteams.harness import solve_instance
+from fairteams.initial import gmbf, lmbff
+from fairteams.refine import SolverState, fmhc
 from helpers import make_random_instance, make_random_spec, random_partition
 
 
@@ -505,6 +509,82 @@ class TestObjectiveBatch:
         with pytest.raises(ValidationError, match="no assignment"):
             objective_batch(inst, TaskSpec(requirements=np.ones(inst.k)), b,
                             np.zeros((0, 12), dtype=np.int64))
+
+
+class TestScorer:
+    def test_reused_scorer_matches_one_shot_calls_bit_for_bit(self):
+        # one scorer over batches that grow, shrink and take the rank
+        # fallback, int32 and int64; results are compared only after every
+        # call, so none may share memory with the scorer's scratch
+        rng = np.random.default_rng(21)
+        inst = make_random_instance(rng, n=70, k=3, m=3)
+        spec = make_random_spec(rng, inst.k)
+        b = compute_benefit_matrix(inst, spec.benefit_epsilon)
+        scorer = core.Scorer(inst, spec, b)
+        batches = [rng.integers(0, 17, (40, 70), dtype=np.int32),
+                   rng.integers(0, 3, (5, 70)),
+                   rng.integers(0, 70, (120, 70), dtype=np.int32),
+                   rng.permutation(140).reshape(2, 70) * 10**15,  # wide
+                   rng.integers(0, 9, (1, 70), dtype=np.int32)]
+        kept = [(labels, scorer(labels), scorer.fitness(labels))
+                for labels in batches]
+        for labels, got, f in kept:
+            want = objective_batch(inst, spec, b, labels)
+            for name in ("x", "y", "z", "f", "team_sums", "group_benefits",
+                         "individual"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes(), name
+            assert f.tobytes() == want.f.tobytes()
+
+
+def _two_teams(inst):
+    return compact_assignment(np.arange(inst.n) % 2)
+
+
+# every library entry point that takes an (instance, spec, b) triple
+_ENTRY_POINTS = {
+    "objective": lambda inst, spec, b: objective(inst, spec, _two_teams(inst),
+                                                 b=b),
+    "objective_batch": lambda inst, spec, b: objective_batch(
+        inst, spec, b, _two_teams(inst).team_of[None]),
+    "Scorer": core.Scorer,
+    "gmbf": gmbf,
+    "lmbff": lmbff,
+    "SolverState": lambda inst, spec, b: SolverState.from_assignment(
+        [inst], spec, [b], [_two_teams(inst)]),
+    "fmhc": lambda inst, spec, b: fmhc(inst, spec, b, _two_teams(inst)),
+    "genetic_algorithm": lambda inst, spec, b: genetic_algorithm(
+        inst, spec, b, 2, params=GAParams(population_size=4, generations=1)),
+    "solve_instance": lambda inst, spec, b: solve_instance(inst, spec, "ga",
+                                                           b=b),
+}
+
+
+def _set(b, at, value):
+    b = b.copy()
+    b[at] = value
+    return b
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad, match", [
+    # objective scored f -0.7308 for -0.7128 with b[0, 0] = 1 on this roster
+    (lambda b: _set(b, (0, 0), 1), "zero diagonal"),
+    # 2 scored as 1 in objective, but counted twice in the refiner's tables
+    (lambda b: _set(b, b == 1, 2), "0/1"),
+    (lambda b: _set(b, (0, 1), -1), "0/1"),
+    # objective read f = inf, and fmhc and gmbf ran on
+    (lambda b: TaskSpec(requirements=[1e200, 1.0]), r"k\*N\*r\^2 overflows"),
+], ids=["diagonal", "twos", "negative", "overflow"])
+def test_every_entry_point_checks_its_triple(entry, bad, match):
+    inst = make_random_instance(np.random.default_rng(22), n=12, k=2, m=2)
+    spec = TaskSpec(requirements=[1.0, 1.0])
+    b = compute_benefit_matrix(inst, 0.0)
+    bad = bad(b)
+    if isinstance(bad, TaskSpec):
+        spec, bad = bad, b
+    with pytest.raises(ValidationError, match=match):
+        _ENTRY_POINTS[entry](inst, spec, bad)
 
 
 class TestObjectiveInvariants:

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -856,6 +857,12 @@ def test_every_climb_ends_in_a_singleton_free_partition(
                     benefit_epsilon=epsilon)
     b = compute_benefit_matrix(inst, epsilon)
     refiner = {"sahc": sahc, "fmhc": fmhc, "postprocess": postprocess}[method]
+    top = max(reqs[:inst.k])
+    if not math.isfinite(inst.k * inst.n * top * top):
+        # the objective would read inf: the triple check rejects the spec
+        with pytest.raises(ValidationError, match=r"k\*N\*r\^2 overflows"):
+            refiner(inst, spec, b, Assignment(team_of))
+        return
     with _apply_limit(), np.errstate(all="ignore"):
         result = refiner(inst, spec, b, Assignment(team_of))
     assert result.n == inst.n  # Assignment checks dense, non-empty teams
